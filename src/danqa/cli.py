@@ -1,8 +1,8 @@
 """Command-line interface: synth, train, eval, predict, gradcheck, report.
 
-Exit codes: 0 success, 1 usage, 2 validation, 3 numeric failure. Every
-artifact-producing run writes a JSON manifest next to its primary output
-so reruns can reproduce it from the recorded flags and seed.
+Exit codes: 0 success, 1 usage or file error, 2 validation, 3 numeric
+failure. Every artifact-producing run writes a JSON manifest next to its
+primary output so reruns can reproduce it from the recorded flags and seed.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .corpus import build_vocab, encode, load_corpus, save_corpus, split, synth_
 from .embeddings import init_table, load_vectors
 from .errors import (ConfigError, ContractError, DomainError, NumericError,
                      ShapeError, UsageError, ValidationError, VocabError)
-from .metrics import render_table
+from .metrics import render_table, score_for_task, spans_from_labels
 from .model import (Model, ModelConfig, decode_tuples, load_checkpoint,
                     predict_label_batches, save_checkpoint)
 from .training import TrainConfig, evaluate_dataset, fit
@@ -160,16 +160,12 @@ def _eval_one(ckpt_path, corpus_path, which_split: str,
     chosen = test_pairs if which_split == "test" else pairs
     examples = [encode(p, vocab, cfg) for p in chosen]
     if labels_as_predictions:
-        from .metrics import score_for_task, spans_from_labels
         spans = [spans_from_labels(ex.y[:int(ex.q_mask.sum())], cfg.space)
                  for ex in examples]
         report = score_for_task(cfg.task, spans, spans)
-        metrics = {"avg_f1": report.avg_f1,
-                   "extraction_f1": report.extraction_f1,
-                   "polarity_acc": report.polarity_acc, "report": report}
     else:
-        metrics = evaluate_dataset(model, examples)
-    row = dict(metrics["report"].to_json())
+        report = evaluate_dataset(model, examples)["report"]
+    row = dict(report.to_json())
     row["method"] = cfg.variant
     row["task"] = cfg.task
     return row
@@ -336,6 +332,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # a missing or unreadable input or output path
+        print(f"file error: {exc}", file=sys.stderr)
         return 1
     except (ValidationError, ConfigError, VocabError, ContractError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -54,7 +54,9 @@ class QAPair:
                     )
 
 
-def _pair_from_json(obj: dict) -> QAPair:
+def _pair_from_json(obj) -> QAPair:
+    if not isinstance(obj, dict):
+        raise ValidationError(f"expected a JSON object, got {json.dumps(obj)[:40]}")
     for key in ("id", "product_id", "question", "answer", "task"):
         if key not in obj:
             raise ValidationError(f"missing key {key!r}")
@@ -148,7 +150,6 @@ class EncodedExample:
     """One QA pair as padded index sequences aligned with the model widths."""
     x_q: np.ndarray
     x_a: np.ndarray
-    x_qa: np.ndarray
     q_mask: np.ndarray
     a_mask: np.ndarray
     y: np.ndarray
@@ -189,8 +190,7 @@ def encode(pair: QAPair, vocab: Vocab, cfg) -> EncodedExample:
         y[:len(q_tokens)] = [space.index(lab) for lab in pair.gold_labels[:t_q]]
 
     return EncodedExample(
-        x_q=x_q, x_a=x_a, x_qa=np.concatenate([x_q, x_a]),
-        q_mask=q_mask, a_mask=a_mask, y=y, pair=pair,
+        x_q=x_q, x_a=x_a, q_mask=q_mask, a_mask=a_mask, y=y, pair=pair,
     )
 
 

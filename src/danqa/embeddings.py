@@ -1,7 +1,8 @@
 """Pretrained word-vector loading and character n-gram OOV composition.
 
-Vector files are whitespace-separated text: one token followed by its
-components per line, with an optional "count dim" header. N-gram files use
+Vector files are space-separated text: one token followed by its finite
+components per line, with an optional "count dim" header; trailing
+whitespace, which fastText .vec files have, is ignored. N-gram files use
 the same format with boundary-marked gram strings (the token is wrapped in
 '<' and '>' before grams are taken).
 """
@@ -32,7 +33,7 @@ def _parse_vector_file(path, expected_dim: int) -> dict:
     with open(path, encoding="utf-8") as fh:
         first = True
         for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
+            parts = line.rstrip().split(" ")
             if not line.strip():
                 continue
             if first:
@@ -62,6 +63,9 @@ def _parse_vector_file(path, expected_dim: int) -> dict:
                 raise ValidationError(
                     f"{path} line {lineno}: non-numeric vector component"
                 ) from None
+            if not np.isfinite(vec).all():
+                raise ValidationError(
+                    f"{path} line {lineno}: non-finite vector component")
             out[parts[0]] = vec
     return out
 

@@ -1,8 +1,7 @@
 """Reusable network layers: embeddings, BLSTMs, attention, dense head.
 
-The batched entry points work on lists of per-timestep ``(B, d)`` tensors
-so the recurrences stay vectorized over the batch; the single-sequence
-functions wrap them for the common ``(T, d)`` case.
+Sequences are lists of per-timestep ``(B, d)`` tensors, so the recurrences
+and the attention steps stay vectorized over the batch.
 """
 
 from __future__ import annotations
@@ -58,16 +57,12 @@ class EmbeddingTable:
         return tc.gather_cols(self.table, idx)
 
 
-def embed(tokens, table: EmbeddingTable) -> Tensor:
-    """Token index sequence -> (T, dim) matrix of embedding columns."""
-    return table.lookup(np.asarray(tokens, dtype=np.int64))
-
-
 class LSTMDirection:
     """Parameters of a single-direction LSTM with fused gate weights.
 
-    Gate order in the fused matrices is [input | forget | candidate |
-    output]; the forget-gate bias block starts at 1.0.
+    Gate order in the fused matrices is [input | forget | output |
+    candidate], as ``tc.lstm_cell`` reads it; the forget-gate bias block
+    starts at 1.0.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, rng):
@@ -128,58 +123,15 @@ class BLSTMLayer:
         return out
 
 
-def _rows_as_steps(x: Tensor):
-    if x.data.ndim != 2:
-        raise ShapeError(f"expected a (T, d) matrix, got {x.shape}")
-    return [tc.select_row(x, t) for t in range(x.shape[0])]
-
-
-def blstm_seq(x: Tensor, layer: BLSTMLayer) -> Tensor:
-    """(T, d_in) -> (T, d_out) bidirectional encoding of one sequence."""
-    steps = layer.seq(_rows_as_steps(x))
-    return tc.reshape(tc.stack_time(steps), (x.shape[0], layer.output_dim))
-
-
-def blstm_pool(x: Tensor, layer: BLSTMLayer) -> Tensor:
-    """(T, d_in) -> (d_out,) single-vector summary of one sequence."""
-    return tc.reshape(layer.pool(_rows_as_steps(x)), (layer.output_dim,))
-
-
-class AttentionResult:
-    def __init__(self, weights: Tensor, context: Tensor):
-        self.weights = weights
-        self.context = context
-
-
-def attend(src: Tensor, story: Tensor, story_mask=None) -> AttentionResult:
-    """Dot-product attention of each src row over all story rows.
-
-    Weights are the row-softmax of ``src @ story.T``; the context rows are
-    the weight-averaged story rows. Optional ``story_mask`` (1 = real
-    token) pushes padded story positions to an effectively -inf logit so
-    they receive exactly zero weight.
-    """
-    if src.data.ndim != 2 or story.data.ndim != 2 or src.shape[1] != story.shape[1]:
-        raise ShapeError(
-            f"attend feature dims differ: src {src.shape} vs story {story.shape}"
-        )
-    scores = tc.matmul(src, tc.transpose(story))
-    if story_mask is not None:
-        story_mask = np.asarray(story_mask, dtype=np.float64)
-        bias = np.tile(np.where(story_mask > 0, 0.0, NEG_INF), (src.shape[0], 1))
-        scores = tc.add(scores, tc.constant(bias))
-    weights = tc.softmax_rows(scores)
-    context = tc.matmul(weights, story)
-    return AttentionResult(weights, context)
-
-
 def attend_step(src_t: Tensor, story: Tensor, story_swapped: Tensor,
-                mask_bias: Tensor) -> Tensor:
-    """Batched one-timestep attention context.
+                mask_bias: Tensor):
+    """Batched one-timestep dot-product attention over a story.
 
     ``src_t`` is (B, d); ``story`` is (B, S, d) with ``story_swapped`` its
-    (B, d, S) transpose; ``mask_bias`` is a (B, S) additive logit mask.
-    Returns the (B, d) context vectors.
+    (B, d, S) transpose; ``mask_bias`` is a (B, S) additive logit mask
+    (``NEG_INF`` at padded positions, which then get exactly zero weight).
+    Returns ``(context, weights)``: the (B, d) weight-averaged story rows
+    and the (B, S) row-softmax of the masked ``src_t . story`` logits.
     """
     batch, dim = src_t.shape
     s_len = story.shape[1]
@@ -187,11 +139,7 @@ def attend_step(src_t: Tensor, story: Tensor, story_swapped: Tensor,
     scores = tc.add(tc.reshape(scores, (batch, s_len)), mask_bias)
     weights = tc.softmax_rows(scores)
     ctx = tc.bmm(tc.reshape(weights, (batch, 1, s_len)), story)
-    return tc.reshape(ctx, (batch, dim))
-
-
-def dropout(x: Tensor, rate: float, training: bool, rng) -> Tensor:
-    return tc.dropout(x, rate, training, rng)
+    return tc.reshape(ctx, (batch, dim)), weights
 
 
 def dense_shared(h: Tensor, w: Tensor, b: Tensor) -> Tensor:

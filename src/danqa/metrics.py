@@ -124,7 +124,13 @@ def _prf(tp: int, fp: int, fn: int):
     return precision, recall, f1
 
 
-def _score(preds_per_ex, golds_per_ex, require_funcword: bool) -> MetricsReport:
+def score_for_task(task: str, preds_per_ex, golds_per_ex) -> MetricsReport:
+    """Score per-example span lists; see the module docstring.
+
+    Compatibility counts entity spans with polarity; satisfiability adds
+    the function-word hit condition.
+    """
+    require_funcword = task == "satisf"
     if len(preds_per_ex) != len(golds_per_ex):
         raise ContractError(
             f"prediction/gold example counts differ: {len(preds_per_ex)} vs "
@@ -198,22 +204,6 @@ def _score(preds_per_ex, golds_per_ex, require_funcword: bool) -> MetricsReport:
             "polarity_correct": n_pol_correct,
         },
     )
-
-
-def score_compat(preds_per_ex, golds_per_ex) -> MetricsReport:
-    """Compatibility scoring: entity spans with polarity, no function words."""
-    return _score(preds_per_ex, golds_per_ex, require_funcword=False)
-
-
-def score_satisf(preds_per_ex, golds_per_ex) -> MetricsReport:
-    """Satisfiability scoring: targets plus the function-word hit condition."""
-    return _score(preds_per_ex, golds_per_ex, require_funcword=True)
-
-
-def score_for_task(task: str, preds_per_ex, golds_per_ex) -> MetricsReport:
-    if task == "satisf":
-        return score_satisf(preds_per_ex, golds_per_ex)
-    return score_compat(preds_per_ex, golds_per_ex)
 
 
 TABLE_HEADERS = {

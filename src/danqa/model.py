@@ -10,6 +10,7 @@ answer polarity vector.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, asdict, field
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import layers
 from . import tensor as tc
-from .corpus import EncodedExample, Vocab
+from .corpus import Vocab
 from .errors import ConfigError, ContractError, ShapeError
 from .labels import KIND_TARGET, KIND_FUNCWORD, LabelSpace, get_space, label_runs
 from .layers import NEG_INF, BLSTMLayer, EmbeddingTable
@@ -60,49 +61,9 @@ class ModelConfig:
         return get_space(self.task)
 
 
-class BatchTrace:
-    """All intermediates of one batched forward pass, kept as tape nodes."""
-
-    def __init__(self, examples, cfg):
-        self.examples = examples
-        self.cfg = cfg
-        self.hq1_steps = None
-        self.ha1_steps = None
-        self.hqa_steps = None
-        self.cq_steps = None
-        self.ca_steps = None
-        self.hq2_steps = None
-        self.ha2_steps = None
-        self.hq3_steps = None
-        self.ha3 = None
-        self.sq_flat = None
-        self.pq_flat = None
-
-    def probs(self) -> np.ndarray:
-        """Per-position label distributions, shape (B, T_q, L)."""
-        b = len(self.examples)
-        return self.pq_flat.data.reshape(b, self.cfg.t_q, -1)
-
-
-@dataclass
-class ForwardTrace:
-    """Single-example view of the forward intermediates (2-D tensors)."""
-    hq1: Tensor
-    ha1: Tensor
-    hqa: Tensor | None
-    cq: Tensor | None
-    ca: Tensor | None
-    hq2: Tensor
-    ha2: Tensor
-    hq3: Tensor
-    ha3: Tensor
-    sq: Tensor
-    pq: Tensor
-
-
 class Model:
     def __init__(self, cfg: ModelConfig, vocab_size: int,
-                 embedding=None):
+                 embedding: EmbeddingTable | None = None):
         if vocab_size < 2:
             raise ConfigError(f"vocab_size must be >= 2, got {vocab_size}")
         self.cfg = cfg
@@ -111,8 +72,7 @@ class Model:
         rng = np.random.default_rng(cfg.seed)
 
         if embedding is not None:
-            weights = (embedding.table.data if isinstance(embedding, EmbeddingTable)
-                       else np.asarray(embedding, dtype=np.float64))
+            weights = embedding.table.data
             if weights.shape != (cfg.d_e, vocab_size):
                 raise ShapeError(
                     f"embedding shape {weights.shape} does not match "
@@ -158,10 +118,14 @@ class Model:
             p.zero_grad()
 
     # ------------------------------------------------------------------
-    # forward passes
+    # forward pass
 
     def forward_batch(self, examples, training: bool = False,
-                      rng=None) -> BatchTrace:
+                      rng=None) -> Tensor:
+        """Label distributions of every question position, shape (B·T_q, L).
+
+        Row ``b * t_q + t`` belongs to position ``t`` of ``examples[b]``.
+        """
         cfg = self.cfg
         if not examples:
             raise ContractError("forward_batch needs at least one example")
@@ -184,91 +148,53 @@ class Model:
         am = np.stack([ex.a_mask for ex in examples])
         batch = len(examples)
 
-        trace = BatchTrace(examples, cfg)
-
         eq = [self.embedding.lookup(xq[:, t]) for t in range(cfg.t_q)]
         ea = [self.embedding.lookup(xa[:, t]) for t in range(cfg.t_a)]
 
         hq1 = [drop(h) for h in self.ctx1_q.seq(eq)]
         ha1 = [drop(h) for h in self.ctx1_a.seq(ea)]
-        trace.hq1_steps, trace.ha1_steps = hq1, ha1
 
         cq = ca = None
         if self.ctx1_qa is not None:
             hqa = [drop(h) for h in self.ctx1_qa.seq(eq + ea)]
-            trace.hqa_steps = hqa
             story = tc.stack_time(hqa)
             story_sw = tc.swap_last2(story)
             bias = tc.constant(
                 np.where(np.concatenate([qm, am], axis=1) > 0, 0.0, NEG_INF))
-            cq = [layers.attend_step(h, story, story_sw, bias) for h in hq1]
+            cq = [layers.attend_step(h, story, story_sw, bias)[0] for h in hq1]
             if cfg.variant == "dan":
-                ca = [layers.attend_step(h, story, story_sw, bias) for h in ha1]
+                ca = [layers.attend_step(h, story, story_sw, bias)[0] for h in ha1]
         elif cfg.variant == "qa-coattention":
             story_q = tc.stack_time(hq1)
             story_a = tc.stack_time(ha1)
             bias_q = tc.constant(np.where(qm > 0, 0.0, NEG_INF))
             bias_a = tc.constant(np.where(am > 0, 0.0, NEG_INF))
             sw_q, sw_a = tc.swap_last2(story_q), tc.swap_last2(story_a)
-            cq = [layers.attend_step(h, story_a, sw_a, bias_a) for h in hq1]
-            ca = [layers.attend_step(h, story_q, sw_q, bias_q) for h in ha1]
-        trace.cq_steps, trace.ca_steps = cq, ca
+            cq = [layers.attend_step(h, story_a, sw_a, bias_a)[0] for h in hq1]
+            ca = [layers.attend_step(h, story_q, sw_q, bias_q)[0] for h in ha1]
 
         hq2 = [tc.concat(h, c, axis=1) for h, c in zip(hq1, cq)] if cq else hq1
         ha2 = [tc.concat(h, c, axis=1) for h, c in zip(ha1, ca)] if ca else ha1
-        trace.hq2_steps, trace.ha2_steps = hq2, ha2
 
         hq3 = self.ctx2_q.seq(hq2)
         ha3 = self.ctx2_a.pool(ha2)
-        trace.hq3_steps, trace.ha3 = hq3, ha3
 
         joined = tc.stack_time([tc.concat(h, ha3, axis=1) for h in hq3])
         flat = tc.reshape(joined, (batch * cfg.t_q, 2 * cfg.blstm_dim))
         flat = drop(flat)
-        trace.sq_flat = layers.dense_shared(flat, self.dense_w, self.dense_b)
-        trace.pq_flat = tc.softmax_rows(trace.sq_flat)
-        return trace
-
-    def forward(self, example: EncodedExample, training: bool = False,
-                rng=None) -> ForwardTrace:
-        """Single-example forward pass with all named intermediates."""
-        cfg = self.cfg
-        bt = self.forward_batch([example], training=training, rng=rng)
-        b = cfg.blstm_dim
-
-        def as_matrix(steps, width):
-            return tc.reshape(tc.stack_time(steps), (len(steps), width))
-
-        n_labels = len(cfg.space)
-        return ForwardTrace(
-            hq1=as_matrix(bt.hq1_steps, b),
-            ha1=as_matrix(bt.ha1_steps, b),
-            hqa=as_matrix(bt.hqa_steps, b) if bt.hqa_steps else None,
-            cq=as_matrix(bt.cq_steps, b) if bt.cq_steps else None,
-            ca=as_matrix(bt.ca_steps, b) if bt.ca_steps else None,
-            hq2=as_matrix(bt.hq2_steps, bt.hq2_steps[0].shape[1]),
-            ha2=as_matrix(bt.ha2_steps, bt.ha2_steps[0].shape[1]),
-            hq3=as_matrix(bt.hq3_steps, b),
-            ha3=tc.reshape(bt.ha3, (b,)),
-            sq=tc.reshape(bt.sq_flat, (cfg.t_q, n_labels)),
-            pq=tc.reshape(bt.pq_flat, (cfg.t_q, n_labels)),
-        )
+        return tc.softmax_rows(
+            layers.dense_shared(flat, self.dense_w, self.dense_b))
 
 
-def build_model(cfg: ModelConfig, vocab_size: int,
-                embedding: np.ndarray | None = None) -> Model:
-    return Model(cfg, vocab_size, embedding=embedding)
+def predict_labels(probs, mask) -> np.ndarray:
+    """Argmax label over the last axis of ``probs``; PAD positions forced to O.
 
-
-def predict_labels(trace: ForwardTrace, mask) -> np.ndarray:
-    """Per-position argmax labels; PAD positions forced to O.
-
-    np.argmax resolves ties toward the lowest label index, deliberately
-    biasing ties to O (index 0).
+    ``mask`` has the shape of ``probs`` without its last axis, 1 for a real
+    token. np.argmax resolves ties toward the lowest label index,
+    deliberately biasing ties to O (index 0).
     """
-    mask = np.asarray(mask)
-    labels = trace.pq.data.argmax(axis=-1)
-    labels[mask == 0] = 0
+    labels = np.asarray(probs).argmax(axis=-1)
+    labels[np.asarray(mask) == 0] = 0
     return labels
 
 
@@ -278,12 +204,10 @@ def predict_label_batches(model: Model, examples, batch_size: int = 128):
     for lo in range(0, len(examples), batch_size):
         chunk = examples[lo:lo + batch_size]
         with tc.no_grad():
-            bt = model.forward_batch(chunk, training=False)
-        probs = bt.probs()
-        idx = probs.argmax(axis=-1)
+            probs = model.forward_batch(chunk, training=False)
         qm = np.stack([ex.q_mask for ex in chunk])
-        idx[qm == 0] = 0
-        out[lo:lo + len(chunk)] = idx
+        out[lo:lo + len(chunk)] = predict_labels(
+            probs.data.reshape(len(chunk), model.cfg.t_q, -1), qm)
     return out
 
 
@@ -392,12 +316,20 @@ def save_checkpoint(path, model: Model, vocab: Vocab, extra: dict | None = None)
                    for name, p in params.items()],
     }
     blob = json.dumps(manifest).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for p in params.values():
-            fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+    # write beside the target, then rename: readers never see a partial file
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            for p in params.values():
+                fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):
@@ -434,4 +366,6 @@ def load_checkpoint(path):
             if len(buf) != 8 * n:
                 raise ConfigError(f"checkpoint truncated at {d['name']}")
             p.data[...] = np.frombuffer(buf, dtype="<f8").reshape(p.shape)
+        if fh.read(1):
+            raise ConfigError(f"{path} has bytes after its last parameter")
     return model, vocab, manifest

@@ -120,15 +120,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _wrap(data, parents, backward):
     if _grad_enabled:
@@ -151,16 +142,6 @@ def parameter(data) -> Tensor:
 # core operations
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul needs (m,k)@(k,n), got {a.shape} @ {b.shape}")
-
-    def backward(g):
-        return g @ b.data.T, a.data.T @ g
-
-    return _wrap(a.data @ b.data, (a, b), backward)
-
-
 def bmm(a: Tensor, b: Tensor) -> Tensor:
     """Stacked matrix product over identical leading batch dimensions."""
     if (a.data.ndim < 3 or a.data.ndim != b.data.ndim
@@ -171,16 +152,6 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
         return g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g
 
     return _wrap(a.data @ b.data, (a, b), backward)
-
-
-def transpose(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got {x.shape}")
-
-    def backward(g):
-        return (g.T,)
-
-    return _wrap(x.data.T, (x,), backward)
 
 
 def swap_last2(x: Tensor) -> Tensor:
@@ -249,18 +220,6 @@ def slice_cols(x: Tensor, j0: int, j1: int) -> Tensor:
     return _wrap(x.data[:, j0:j1], (x,), backward)
 
 
-def select_row(x: Tensor, i: int) -> Tensor:
-    if x.data.ndim != 2 or not (0 <= i < x.shape[0]):
-        raise ShapeError(f"bad row {i} of {x.shape}")
-
-    def backward(g):
-        full = np.zeros_like(x.data)
-        full[i, :] = g
-        return (full,)
-
-    return _wrap(x.data[i:i + 1, :], (x,), backward)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")
@@ -279,24 +238,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         return g * b.data, g * a.data
 
     return _wrap(a.data * b.data, (a, b), backward)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    out = 1.0 / (1.0 + np.exp(-x.data))
-
-    def backward(g):
-        return (g * out * (1.0 - out),)
-
-    return _wrap(out, (x,), backward)
-
-
-def tanh(x: Tensor) -> Tensor:
-    out = np.tanh(x.data)
-
-    def backward(g):
-        return (g * (1.0 - out * out),)
-
-    return _wrap(out, (x,), backward)
 
 
 def softmax_rows(x: Tensor) -> Tensor:

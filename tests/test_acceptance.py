@@ -10,14 +10,14 @@ import time
 import numpy as np
 import pytest
 
-from danqa import gradcheck, tensor as tc
+from danqa import gradcheck
 from danqa.cli import main
 from danqa.corpus import QAPair, build_vocab, encode, split, synth_generate
 from danqa.labels import COMPAT, SATISF
-from danqa.layers import attend
-from danqa.metrics import score_compat, score_satisf
-from danqa.model import Model, ModelConfig, decode_tuples
+from danqa.metrics import score_for_task
+from danqa.model import Model, ModelConfig, decode_tuples, predict_labels
 from danqa.training import TrainConfig, batch_loss, fit
+from test_layers import attention
 from test_metrics import random_spans
 from util import reference_score
 
@@ -46,13 +46,13 @@ def test_c2_attention_laws():
     worst_uniform = 0.0
     for seed in range(100):
         rng = np.random.default_rng(seed)
-        src = tc.constant(rng.standard_normal((5, 8)))
-        story = tc.constant(rng.standard_normal((9, 8)))
-        weights = attend(src, story).weights.data
+        src = rng.standard_normal((5, 8))
+        story = rng.standard_normal((9, 8))
+        _, weights = attention(src, story)
         worst_sum = max(worst_sum,
                         float(np.abs(weights.sum(axis=-1) - 1.0).max()))
-        flat = tc.constant(np.tile(rng.standard_normal(8), (9, 1)))
-        uniform = attend(src, flat).weights.data
+        flat = np.tile(rng.standard_normal(8), (9, 1))
+        _, uniform = attention(src, flat)
         worst_uniform = max(worst_uniform,
                             float(np.abs(uniform - 1.0 / 9).max()))
     _verdict(worst_sum <= 1e-9 and worst_uniform <= 1e-9,
@@ -85,13 +85,12 @@ def test_c4_metric_oracle():
     checked = 0
     for case in range(200):
         task = "compat" if case % 2 == 0 else "satisf"
-        scorer = score_compat if task == "compat" else score_satisf
         n_ex = int(rng.integers(1, 4))
         preds = [random_spans(rng, with_func=task == "satisf")
                  for _ in range(n_ex)]
         golds = [random_spans(rng, with_func=task == "satisf")
                  for _ in range(n_ex)]
-        rep = scorer(preds, golds)
+        rep = score_for_task(task, preds, golds)
         ref = reference_score(task, preds, golds)
         assert rep.avg_f1 == ref["avg_f1"], f"case {case}"
         assert rep.extraction_f1 == ref["extraction_f1"], f"case {case}"
@@ -106,7 +105,7 @@ def test_c4_metric_oracle():
                           [SpanPred(0, 3, 1, KIND_TARGET)])[0]
     assert half and not third
     # missing gold function words auto-pass the function-word clause
-    missing = score_satisf([[SpanPred(0, 2, 1, KIND_TARGET)]],
+    missing = score_for_task("satisf", [[SpanPred(0, 2, 1, KIND_TARGET)]],
                            [[SpanPred(0, 2, 1, KIND_TARGET)]])
     assert missing.extraction_f1 == 1.0
     _verdict(checked == 200, "C4 metric oracle",
@@ -252,9 +251,8 @@ def test_converged_model_labels_fixture_question():
     probe = QAPair("probe", "p1", ["works", "with", "iphone", "?"],
                    ["yes", ",", "it", "is"], None, "satisf")
     ex = encode(probe, vocab, cfg)
-    trace = model.forward(ex)
-    from danqa.model import predict_labels
-    got = [SATISF.label(i) for i in predict_labels(trace, ex.q_mask)[:4]]
+    probs = model.forward_batch([ex]).data
+    got = [SATISF.label(i) for i in predict_labels(probs, ex.q_mask)[:4]]
     assert got == ["F-S", "F-S", "S", "O"]
     tuples = decode_tuples(got, probe.question_tokens, "p1", SATISF)
     assert tuples[0].target_text == "iphone"

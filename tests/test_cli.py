@@ -143,6 +143,15 @@ class TestEval:
         assert data["extraction_f1"] == 1.0
         assert data["polarity_acc"] == 1.0
 
+    def test_missing_checkpoint_is_one_line_usage_error(self, tiny_run,
+                                                        tmp_path, capsys):
+        missing = tmp_path / "missing.ckpt"
+        code = run("eval", "--checkpoint", str(missing),
+                   "--corpus", str(tiny_run["corpus"]))
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert str(missing) in err and len(err.splitlines()) == 1
+
     def test_vocab_hash_mismatch_refused(self, tiny_run, tmp_path):
         other = tmp_path / "other.jsonl"
         run("synth", "--n", "40", "--task", "compat", "--seed", "99",
@@ -175,6 +184,35 @@ class TestPredict:
         code = run("predict", "--checkpoint", str(tiny_run["checkpoint"]),
                    "--in", str(other), "--out", str(tmp_path / "x.jsonl"))
         assert code == 1
+
+
+    def test_missing_checkpoint_is_one_line_usage_error(self, tiny_run,
+                                                        tmp_path, capsys):
+        missing = tmp_path / "missing.ckpt"
+        code = run("predict", "--checkpoint", str(missing),
+                   "--in", str(tiny_run["corpus"]),
+                   "--out", str(tmp_path / "x.jsonl"))
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert str(missing) in err and len(err.splitlines()) == 1
+
+    def test_missing_input_is_one_line_usage_error(self, tiny_run, tmp_path,
+                                                   capsys):
+        missing = tmp_path / "missing.jsonl"
+        code = run("predict", "--checkpoint", str(tiny_run["checkpoint"]),
+                   "--in", str(missing), "--out", str(tmp_path / "x.jsonl"))
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert str(missing) in err and len(err.splitlines()) == 1
+
+    def test_non_object_input_line_is_validation_error(self, tiny_run,
+                                                        tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("5\n")
+        code = run("predict", "--checkpoint", str(tiny_run["checkpoint"]),
+                   "--in", str(bad), "--out", str(tmp_path / "x.jsonl"))
+        assert code == 2
+        assert "line 1: expected a JSON object" in capsys.readouterr().err
 
 
 class TestGradcheckCommand:

@@ -61,6 +61,16 @@ class TestLoadSave:
         with pytest.raises(ValidationError, match="line 2"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("line", ["5", "null", "[1, 2]", '"text"'])
+    def test_non_object_line_reports_line(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        save_corpus([SURFACE_QA], path)
+        with open(path, "a") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(ValidationError,
+                           match="line 2: expected a JSON object"):
+            load_corpus(path)
+
     def test_label_outside_space(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         rec = {"id": "x", "product_id": "p", "task": "compat",
@@ -116,14 +126,6 @@ class TestEncode:
         assert ex.a_mask.sum() == 82
         expected = [vocab.index(t) for t in tokens[:82]]
         np.testing.assert_array_equal(ex.x_a, expected)
-
-    def test_story_is_concatenation(self):
-        pair = QAPair("1", "p", ["a", "b"], ["c"], None, "compat")
-        vocab = build_vocab([pair])
-        ex = encode(pair, vocab, small_cfg())
-        assert len(ex.x_qa) == 164
-        np.testing.assert_array_equal(ex.x_qa,
-                                      np.concatenate([ex.x_q, ex.x_a]))
 
     def test_truncating_labeled_tokens_warns(self, caplog):
         cfg = small_cfg(t_q=2, t_a=2)
@@ -227,5 +229,4 @@ class TestSynth:
             ex = encode(p, vocab, cfg)
             assert ex.x_q.shape == (24,)
             assert ex.x_a.shape == (24,)
-            assert ex.x_qa.shape == (48,)
             assert ex.y.shape == (24,)

@@ -54,6 +54,28 @@ class TestLoadVectors:
         with pytest.raises(ValidationError, match="line 1"):
             load_vectors(path, 3)
 
+    def test_trailing_whitespace_accepted(self, tmp_path):
+        path = tmp_path / "v.vec"
+        path.write_text("2 3 \ncat 1 2 3 \ndog 4 5 6\t\n")
+        vectors = load_vectors(path, 3)
+        np.testing.assert_array_equal(vectors.words["cat"], [1, 2, 3])
+        np.testing.assert_array_equal(vectors.words["dog"], [4, 5, 6])
+
+    def test_component_count_ignores_trailing_whitespace(self, tmp_path):
+        path = tmp_path / "v.vec"
+        path.write_text("foo 0.1 0.2 0.3 \n")
+        with pytest.raises(ValidationError,
+                           match="line 1: expected 4 components, got 3"):
+            load_vectors(path, 4)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_component_reports_line(self, tmp_path, bad):
+        path = tmp_path / "v.txt"
+        path.write_text(f"cat 1.0 2.0 3.0\ndog 1.0 {bad} 3.0\n")
+        with pytest.raises(ValidationError,
+                           match=f"{path} line 2: non-finite"):
+            load_vectors(path, 3)
+
 
 class TestCharNgrams:
     def test_boundary_marked(self):

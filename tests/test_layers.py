@@ -5,8 +5,7 @@ import pytest
 
 from danqa import layers, tensor as tc
 from danqa.errors import ConfigError, ShapeError, VocabError
-from danqa.layers import (BLSTMLayer, EmbeddingTable, attend, attend_step,
-                          blstm_pool, blstm_seq, dense_shared, dropout, embed)
+from danqa.layers import BLSTMLayer, EmbeddingTable, attend_step, dense_shared
 from util import fd_gradient, max_rel_err
 
 
@@ -17,20 +16,42 @@ def zeroed_layer(input_dim, output_dim, seed=0):
     return layer
 
 
+def as_steps(x):
+    """(T, d) array -> list of T single-row (1, d) step tensors."""
+    return [tc.constant(row[None]) for row in np.asarray(x)]
+
+
+def seq_matrix(layer, x):
+    """(T, d_out) matrix of a BLSTM's per-step outputs over one sequence."""
+    return np.concatenate([h.data for h in layer.seq(as_steps(x))])
+
+
+def attention(src, story, mask=None):
+    """Attend each (T, d) ``src`` row over a (S, d) story; (context, weights)
+    as (T, d) and (T, S) arrays, one ``attend_step`` call per row."""
+    story3 = tc.constant(np.asarray(story, dtype=float)[None])
+    mask = np.ones(story3.shape[1]) if mask is None else np.asarray(mask)
+    bias = tc.constant(np.where(mask > 0, 0.0, layers.NEG_INF)[None])
+    steps = [attend_step(h, story3, tc.swap_last2(story3), bias)
+             for h in as_steps(src)]
+    return (np.concatenate([c.data for c, _ in steps]),
+            np.concatenate([w.data for _, w in steps]))
+
+
 class TestEmbedding:
     def test_pad_columns_are_zero_at_init(self):
         table = EmbeddingTable.random(8, 10, np.random.default_rng(0))
-        out = embed([0, 0], table)
+        out = table.lookup([0, 0])
         np.testing.assert_array_equal(out.data, np.zeros((2, 8)))
 
     def test_single_token_is_its_column(self):
         table = EmbeddingTable.random(8, 10, np.random.default_rng(1))
-        out = embed([4], table)
+        out = table.lookup([4])
         np.testing.assert_array_equal(out.data[0], table.table.data[:, 4])
 
     def test_repeated_token_gradient_accumulates(self):
         table = EmbeddingTable.random(5, 8, np.random.default_rng(2))
-        tc.tensor_sum(embed([3, 3], table)).backward()
+        tc.tensor_sum(table.lookup([3, 3])).backward()
         grad = table.table.grad
         np.testing.assert_array_equal(grad[:, 3], np.full(5, 2.0))
         grad[:, 3] = 0.0
@@ -39,23 +60,22 @@ class TestEmbedding:
     def test_out_of_vocab_index_rejected(self):
         table = EmbeddingTable.random(4, 6, np.random.default_rng(3))
         with pytest.raises(VocabError):
-            embed([6], table)
+            table.lookup([6])
 
 
 class TestBLSTM:
     def test_zero_weights_give_zero_output(self):
         layer = zeroed_layer(3, 4)
-        x = tc.constant(np.random.default_rng(0).standard_normal((5, 3)))
-        out = blstm_seq(x, layer)
-        np.testing.assert_array_equal(out.data, np.zeros((5, 4)))
+        x = np.random.default_rng(0).standard_normal((5, 3))
+        np.testing.assert_array_equal(seq_matrix(layer, x), np.zeros((5, 4)))
 
     def test_length_one_seq_equals_pool(self):
         rng = np.random.default_rng(4)
         layer = BLSTMLayer(3, 4, rng)
-        x = tc.constant(rng.standard_normal((1, 3)))
-        seq = blstm_seq(x, layer)
-        pool = blstm_pool(x, layer)
-        np.testing.assert_allclose(seq.data[0], pool.data)
+        x = rng.standard_normal((1, 3))
+        seq = layer.seq(as_steps(x))
+        pool = layer.pool(as_steps(x))
+        np.testing.assert_allclose(seq[0].data, pool.data)
 
     def test_reversal_symmetry(self):
         rng = np.random.default_rng(5)
@@ -63,8 +83,8 @@ class TestBLSTM:
         swapped = BLSTMLayer(3, 8, rng)
         swapped.fw, swapped.bw = layer.bw, layer.fw
         x = rng.standard_normal((6, 3))
-        out = blstm_seq(tc.constant(x), layer).data
-        rev = blstm_seq(tc.constant(x[::-1].copy()), swapped).data
+        out = seq_matrix(layer, x)
+        rev = seq_matrix(swapped, x[::-1])
         half = 4
         flipped = np.concatenate([rev[::-1, half:], rev[::-1, :half]], axis=1)
         np.testing.assert_allclose(out, flipped, atol=1e-12)
@@ -72,25 +92,23 @@ class TestBLSTM:
     def test_pool_matches_seq_selection(self):
         rng = np.random.default_rng(6)
         layer = BLSTMLayer(4, 6, rng)
-        x = tc.constant(rng.standard_normal((7, 4)))
-        seq = blstm_seq(x, layer).data
-        pool = blstm_pool(x, layer).data
+        x = rng.standard_normal((7, 4))
+        seq = seq_matrix(layer, x)
+        pool = layer.pool(as_steps(x)).data[0]
         np.testing.assert_allclose(pool[:3], seq[-1, :3])
         np.testing.assert_allclose(pool[3:], seq[0, 3:])
 
     def test_pool_output_length(self):
         rng = np.random.default_rng(7)
         layer = BLSTMLayer(4, 6, rng)
-        assert blstm_pool(tc.constant(rng.standard_normal((5, 4))),
-                          layer).shape == (6,)
+        assert layer.pool(as_steps(rng.standard_normal((5, 4)))).shape == (1, 6)
 
     def test_outputs_bounded_below_one(self):
         for seed in range(5):
             rng = np.random.default_rng(seed)
             layer = BLSTMLayer(3, 6, rng)
-            x = tc.constant(5.0 * rng.standard_normal((10, 3)))
-            out = blstm_seq(x, layer)
-            assert np.all(np.abs(out.data) < 1.0)
+            out = seq_matrix(layer, 5.0 * rng.standard_normal((10, 3)))
+            assert np.all(np.abs(out) < 1.0)
 
     def test_odd_output_dim_rejected(self):
         with pytest.raises(ShapeError):
@@ -101,86 +119,85 @@ class TestAttention:
     def test_identical_story_rows_give_uniform_weights(self):
         rng = np.random.default_rng(8)
         v = rng.standard_normal(4)
-        story = tc.constant(np.tile(v, (6, 1)))
-        src = tc.constant(rng.standard_normal((3, 4)))
-        res = attend(src, story)
-        np.testing.assert_allclose(res.weights.data, np.full((3, 6), 1 / 6),
-                                   atol=1e-12)
-        np.testing.assert_allclose(res.context.data, np.tile(v, (3, 1)),
-                                   atol=1e-12)
+        context, weights = attention(rng.standard_normal((3, 4)),
+                                     np.tile(v, (6, 1)))
+        np.testing.assert_allclose(weights, np.full((3, 6), 1 / 6), atol=1e-12)
+        np.testing.assert_allclose(context, np.tile(v, (3, 1)), atol=1e-12)
 
     def test_single_story_row(self):
         rng = np.random.default_rng(9)
-        story = tc.constant(rng.standard_normal((1, 4)))
-        src = tc.constant(rng.standard_normal((2, 4)))
-        res = attend(src, story)
-        np.testing.assert_allclose(res.weights.data, np.ones((2, 1)))
-        np.testing.assert_allclose(res.context.data,
-                                   np.tile(story.data[0], (2, 1)))
+        story = rng.standard_normal((1, 4))
+        context, weights = attention(rng.standard_normal((2, 4)), story)
+        np.testing.assert_allclose(weights, np.ones((2, 1)))
+        np.testing.assert_allclose(context, np.tile(story[0], (2, 1)))
 
     def test_logit_gap_three_concentrates_weight(self):
-        src = tc.constant(np.array([[3.0, 0.0]]))
-        story = tc.constant(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        res = attend(src, story)
+        _, weights = attention([[3.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
         # closed form: exp(3) / (exp(3) + exp(0))
         expected = np.exp(3) / (np.exp(3) + 1)
-        assert res.weights.data[0, 0] == pytest.approx(expected)
-        assert res.weights.data[0, 0] > 0.95
+        assert weights[0, 0] == pytest.approx(expected)
+        assert weights[0, 0] > 0.95
 
     def test_weight_rows_sum_to_one(self):
         for seed in range(30):
             rng = np.random.default_rng(seed)
-            res = attend(tc.constant(rng.standard_normal((4, 5))),
-                         tc.constant(rng.standard_normal((7, 5))))
-            np.testing.assert_allclose(res.weights.data.sum(axis=-1), 1.0,
-                                       atol=1e-9)
+            _, weights = attention(rng.standard_normal((4, 5)),
+                                   rng.standard_normal((7, 5)))
+            np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_shift_invariance_of_argmax(self):
         rng = np.random.default_rng(10)
-        src = tc.constant(rng.standard_normal((3, 4)))
+        src = rng.standard_normal((3, 4))
         story = rng.standard_normal((5, 4))
-        base = attend(src, tc.constant(story))
-        scores = src.data @ story.T
+        _, weights = attention(src, story)
+        scores = src @ story.T
         shifted = tc.softmax_rows(tc.constant(scores + 7.5))
-        np.testing.assert_allclose(base.weights.data, shifted.data, atol=1e-12)
-        assert np.array_equal(base.weights.data.argmax(axis=-1),
+        np.testing.assert_allclose(weights, shifted.data, atol=1e-12)
+        assert np.array_equal(weights.argmax(axis=-1),
                               shifted.data.argmax(axis=-1))
 
     def test_feature_dim_mismatch(self):
         with pytest.raises(ShapeError):
-            attend(tc.constant(np.zeros((2, 3))), tc.constant(np.zeros((2, 4))))
+            attention(np.zeros((2, 3)), np.zeros((2, 4)))
 
     def test_padding_gets_exactly_zero_weight(self):
         rng = np.random.default_rng(11)
-        src = tc.constant(rng.standard_normal((2, 4)))
-        story = tc.constant(rng.standard_normal((5, 4)))
-        res = attend(src, story, story_mask=[1, 1, 0, 1, 0])
-        assert np.all(res.weights.data[:, [2, 4]] == 0.0)
-        np.testing.assert_allclose(res.weights.data.sum(axis=-1), 1.0,
-                                   atol=1e-12)
+        _, weights = attention(rng.standard_normal((2, 4)),
+                               rng.standard_normal((5, 4)),
+                               mask=[1, 1, 0, 1, 0])
+        assert np.all(weights[:, [2, 4]] == 0.0)
+        np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_batched_step_matches_single_sequence_attention(self):
+        """One batched step over three stories equals each story's own
+        closed-form attention, softmax(src . story + mask) averaging story."""
         rng = np.random.default_rng(12)
         src = rng.standard_normal((3, 4))
-        story = rng.standard_normal((5, 4))
-        mask = np.array([1, 1, 1, 0, 1], dtype=float)
-        ref = attend(tc.constant(src), tc.constant(story), story_mask=mask)
-        story3 = tc.constant(story[None])
-        swapped = tc.swap_last2(story3)
-        bias = tc.constant(np.where(mask > 0, 0.0, layers.NEG_INF)[None])
-        for t in range(3):
-            step = attend_step(tc.constant(src[t:t + 1]), story3, swapped, bias)
-            np.testing.assert_allclose(step.data[0], ref.context.data[t],
+        stories = rng.standard_normal((3, 5, 4))
+        masks = np.array([[1, 1, 1, 0, 1], [1, 1, 1, 1, 1], [1, 0, 0, 0, 0]],
+                         dtype=float)
+        story3 = tc.constant(stories)
+        bias = tc.constant(np.where(masks > 0, 0.0, layers.NEG_INF))
+        context, weights = attend_step(tc.constant(src), story3,
+                                       tc.swap_last2(story3), bias)
+        for b in range(3):
+            logits = np.where(masks[b] > 0, stories[b] @ src[b], -np.inf)
+            ref = np.exp(logits - logits.max())
+            ref /= ref.sum()
+            np.testing.assert_allclose(weights.data[b], ref, atol=1e-12)
+            np.testing.assert_allclose(context.data[b], ref @ stories[b],
                                        atol=1e-12)
 
     def test_attention_gradients(self):
         rng = np.random.default_rng(13)
         src = tc.parameter(rng.standard_normal((3, 4)))
-        story = tc.parameter(rng.standard_normal((5, 4)))
+        story = tc.parameter(rng.standard_normal((3, 5, 4)))
+        bias = tc.constant(np.zeros((3, 5)))
         w = tc.constant(rng.standard_normal((3, 4)))
 
         def build():
-            return tc.tensor_sum(tc.mul(attend(src, story).context, w))
+            context, _ = attend_step(src, story, tc.swap_last2(story), bias)
+            return tc.tensor_sum(tc.mul(context, w))
 
         build().backward()
         for t in (src, story):
@@ -191,30 +208,30 @@ class TestAttention:
 class TestDropout:
     def test_rate_zero_is_identity(self):
         x = tc.constant(np.ones((3, 3)))
-        assert dropout(x, 0.0, True, np.random.default_rng(0)) is x
+        assert tc.dropout(x, 0.0, True, np.random.default_rng(0)) is x
 
     def test_inference_is_identity(self):
         x = tc.constant(np.ones((3, 3)))
-        assert dropout(x, 0.9, False, None) is x
+        assert tc.dropout(x, 0.9, False, None) is x
 
     def test_bad_rate_rejected(self):
         x = tc.constant(np.ones(2))
         with pytest.raises(ConfigError):
-            dropout(x, 1.0, True, np.random.default_rng(0))
+            tc.dropout(x, 1.0, True, np.random.default_rng(0))
         with pytest.raises(ConfigError):
-            dropout(x, -0.1, True, np.random.default_rng(0))
+            tc.dropout(x, -0.1, True, np.random.default_rng(0))
 
     def test_zero_fraction_near_rate(self):
         rng = np.random.default_rng(14)
         x = tc.constant(np.ones(100_000))
-        out = dropout(x, 0.1, True, rng)
+        out = tc.dropout(x, 0.1, True, rng)
         frac = float((out.data == 0.0).mean())
         assert abs(frac - 0.1) <= 0.01
 
     def test_expectation_preserved(self):
         rng = np.random.default_rng(15)
         x = tc.constant(np.full(200_000, 3.0))
-        out = dropout(x, 0.25, True, rng)
+        out = tc.dropout(x, 0.25, True, rng)
         assert out.data.mean() == pytest.approx(3.0, rel=0.01)
 
 
@@ -241,9 +258,10 @@ class TestDenseShared:
         h = tc.constant(rng.standard_normal((6, 3)))
         w = tc.parameter(rng.standard_normal((4, 3)))
         b = tc.parameter(rng.standard_normal(4))
+        v = tc.constant(rng.standard_normal((6, 4)))
 
         def build():
-            return tc.tensor_sum(tc.tanh(dense_shared(h, w, b)))
+            return tc.tensor_sum(tc.mul(dense_shared(h, w, b), v))
 
         build().backward()
         for t in (w, b):

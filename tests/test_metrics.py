@@ -3,9 +3,8 @@
 import numpy as np
 
 from danqa.labels import COMPAT, SATISF, KIND_FUNCWORD, KIND_TARGET
-from danqa.metrics import (SpanPred, match_targets,
-                           polarity_of_extraction, render_table, score_compat,
-                           score_satisf, spans_from_labels)
+from danqa.metrics import (SpanPred, match_targets, polarity_of_extraction,
+                           render_table, score_for_task, spans_from_labels)
 from util import reference_score
 
 
@@ -90,7 +89,7 @@ class TestPolarityVote:
 class TestScoreCompat:
     def test_perfect_agreement(self):
         golds = [[target(1, 3, 1)], [target(0, 2, 2), target(5, 6, 3)]]
-        rep = score_compat(golds, golds)
+        rep = score_for_task("compat", golds, golds)
         assert rep.avg_f1 == 1.0
         assert rep.extraction_f1 == 1.0
         assert rep.polarity_acc == 1.0
@@ -98,7 +97,7 @@ class TestScoreCompat:
     def test_polarity_mismatch_hand_case(self):
         golds = [[target(2, 4, 1)]]
         preds = [[target(2, 4, 2)]]
-        rep = score_compat(preds, golds)
+        rep = score_for_task("compat", preds, golds)
         assert rep.extraction_f1 == 1.0
         assert rep.polarity_acc == 0.0
         assert rep.per_class[1]["fn"] == 1
@@ -106,7 +105,7 @@ class TestScoreCompat:
         assert rep.avg_f1 == 0.0
 
     def test_empty_everything_is_perfect(self):
-        rep = score_compat([[]], [[]])
+        rep = score_for_task("compat", [[]], [[]])
         assert rep.avg_f1 == 1.0
         assert rep.extraction_f1 == 1.0
         assert rep.polarity_acc == 1.0
@@ -117,7 +116,7 @@ class TestScoreCompat:
             n_ex = int(rng.integers(1, 4))
             preds = [random_spans(rng) for _ in range(n_ex)]
             golds = [random_spans(rng) for _ in range(n_ex)]
-            rep = score_compat(preds, golds)
+            rep = score_for_task("compat", preds, golds)
             ref = reference_score("compat", preds, golds)
             assert rep.avg_f1 == ref["avg_f1"], f"case {case}"
             assert rep.extraction_f1 == ref["extraction_f1"], f"case {case}"
@@ -132,27 +131,27 @@ class TestScoreSatisf:
     def test_missing_gold_function_word_clause(self):
         golds = [[target(2, 4, 1)]]  # no gold function words at all
         preds = [[target(2, 4, 1)]]
-        rep = score_satisf(preds, golds)
+        rep = score_for_task("satisf", preds, golds)
         assert rep.extraction_f1 == 1.0
         assert rep.avg_f1 == 1.0
 
     def test_conjunction_requires_function_word_hit(self):
         golds = [[funcword(0, 1, 1), target(2, 4, 1)]]
         preds = [[target(2, 4, 1)]]  # correct target, no function words
-        rep = score_satisf(preds, golds)
+        rep = score_for_task("satisf", preds, golds)
         assert rep.counts["extraction_tp"] == 0
         assert rep.extraction_f1 == 0.0
 
     def test_function_word_hit_ignores_polarity(self):
         golds = [[funcword(0, 1, 1), target(2, 4, 1)]]
         preds = [[funcword(0, 1, 3), target(2, 4, 1)]]
-        rep = score_satisf(preds, golds)
+        rep = score_for_task("satisf", preds, golds)
         assert rep.extraction_f1 == 1.0
         assert rep.polarity_acc == 1.0
 
     def test_function_expression_exact_match(self):
         spans = spans_from_labels(["F-S", "F-S", "S", "O"], SATISF)
-        rep = score_satisf([spans], [spans])
+        rep = score_for_task("satisf", [spans], [spans])
         assert rep.avg_f1 == 1.0
         assert rep.extraction_f1 == 1.0
         assert rep.polarity_acc == 1.0
@@ -163,7 +162,7 @@ class TestScoreSatisf:
             n_ex = int(rng.integers(1, 4))
             preds = [random_spans(rng, with_func=True) for _ in range(n_ex)]
             golds = [random_spans(rng, with_func=True) for _ in range(n_ex)]
-            rep = score_satisf(preds, golds)
+            rep = score_for_task("satisf", preds, golds)
             ref = reference_score("satisf", preds, golds)
             assert rep.avg_f1 == ref["avg_f1"], f"case {case}"
             assert rep.extraction_f1 == ref["extraction_f1"], f"case {case}"
@@ -176,8 +175,8 @@ class TestInvariants:
         for _ in range(50):
             golds = [random_spans(rng, with_func=True)
                      for _ in range(int(rng.integers(1, 4)))]
-            for scorer in (score_compat, score_satisf):
-                rep = scorer(golds, golds)
+            for task in ("compat", "satisf"):
+                rep = score_for_task(task, golds, golds)
                 assert rep.avg_f1 == 1.0
                 assert rep.extraction_f1 == 1.0
                 assert rep.polarity_acc == 1.0
@@ -187,14 +186,14 @@ class TestInvariants:
         for _ in range(60):
             preds = [random_spans(rng)]
             golds = [random_spans(rng)]
-            rep = score_compat(preds, golds)
+            rep = score_for_task("compat", preds, golds)
             p_targets = preds[0]
             matches, unmatched_p, _ = match_targets(p_targets, golds[0])
             if not unmatched_p:
                 continue
             drop = unmatched_p[0]
             fewer = [[s for i, s in enumerate(p_targets) if i != drop]]
-            rep2 = score_compat(fewer, golds)
+            rep2 = score_for_task("compat", fewer, golds)
             for c in (1, 2, 3):
                 assert (rep2.per_class[c]["precision"]
                         >= rep.per_class[c]["precision"] - 1e-12)
@@ -204,7 +203,7 @@ class TestInvariants:
         for _ in range(60):
             preds = [random_spans(rng) for _ in range(2)]
             golds = [random_spans(rng) for _ in range(2)]
-            rep = score_compat(preds, golds)
+            rep = score_for_task("compat", preds, golds)
             for c in (1, 2, 3):
                 n_gold = sum(1 for ex in golds for s in ex if s.polarity == c)
                 assert rep.per_class[c]["tp"] + rep.per_class[c]["fn"] == n_gold
@@ -212,7 +211,7 @@ class TestInvariants:
 
 class TestRenderTable:
     def test_layout(self):
-        rep = score_compat([[target(0, 2, 1)]], [[target(0, 2, 1)]])
+        rep = score_for_task("compat", [[target(0, 2, 1)]], [[target(0, 2, 1)]])
         text = render_table("compat", [("dan", rep), ("qa-s-blstm", rep)])
         lines = text.splitlines()
         assert "PCA F1" in lines[0] and "CER F1" in lines[0]
@@ -222,6 +221,6 @@ class TestRenderTable:
         assert "100.0" in lines[2]
 
     def test_satisf_headers(self):
-        rep = score_satisf([[]], [[]])
+        rep = score_for_task("satisf", [[]], [[]])
         text = render_table("satisf", [("dan", rep)])
         assert "FSA F1" in text and "FNR F1" in text

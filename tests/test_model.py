@@ -1,19 +1,20 @@
 """Model assembly, variants, forward laws, decoding, checkpoints."""
 
 import json
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from danqa import tensor as tc
+from danqa import layers, tensor as tc
 from danqa.corpus import build_vocab, encode, synth_generate
 from danqa.errors import ConfigError, ContractError
 from danqa.labels import COMPAT, SATISF
 from danqa.metrics import spans_from_labels
-from danqa.model import (CHECKPOINT_MAGIC, ForwardTrace, Model, ModelConfig,
-                         decode_tuples, load_checkpoint, predict_labels,
-                         save_checkpoint)
+from danqa.model import (CHECKPOINT_MAGIC, Model, ModelConfig, decode_tuples,
+                         load_checkpoint, predict_labels, save_checkpoint)
 
 
 def micro_cfg(variant="dan", task="compat", seed=0, **kw):
@@ -28,6 +29,39 @@ def micro_setup(variant="dan", task="compat", seed=0, n=3):
     vocab = build_vocab(pairs)
     examples = [encode(p, vocab, cfg) for p in pairs]
     return cfg, vocab, examples
+
+
+def record_layers(model, monkeypatch):
+    """Record the inputs and outputs of every BLSTM call and every
+    ``attend_step`` call the next forward passes make, by layer name."""
+    calls = {}
+
+    def recorder(name, fn):
+        def wrapped(*args):
+            out = fn(*args)
+            calls.setdefault(name, []).append((args, out))
+            return out
+        return wrapped
+
+    for attr in ("ctx1_q", "ctx1_a", "ctx1_qa", "ctx2_q", "ctx2_a"):
+        layer = getattr(model, attr)
+        if layer is not None:
+            layer.seq = recorder(f"{attr}.seq", layer.seq)
+            layer.pool = recorder(f"{attr}.pool", layer.pool)
+    monkeypatch.setattr(layers, "attend_step",
+                        recorder("attend_step", layers.attend_step))
+    return calls
+
+
+def blstm_call(calls, name):
+    """(input steps, output) of the one recorded call of a BLSTM method."""
+    ((args, out),) = calls[name]
+    return args[0], out
+
+
+def probs_of(model, example):
+    """(T_q, L) label distributions of one example."""
+    return model.forward_batch([example]).data
 
 
 class TestBuild:
@@ -50,47 +84,72 @@ class TestBuild:
         assert "dense.W" in names and "dense.b" in names
         assert len(names) == 1 + 5 * 6 + 2
 
-    def test_sblstm_has_no_story_layer(self):
+    def test_sblstm_has_no_story_layer(self, monkeypatch):
         cfg, vocab, examples = micro_setup("qa-s-blstm")
         model = Model(cfg, vocab.size)
         assert not any(n.startswith("ctx1_qa") for n in model.params())
-        trace = model.forward(examples[0])
-        assert trace.cq is None and trace.hqa is None
-        np.testing.assert_array_equal(trace.hq2.data, trace.hq1.data)
+        calls = record_layers(model, monkeypatch)
+        model.forward_batch(examples[:1])
+        assert model.ctx1_qa is None and "attend_step" not in calls
+        # without attention the second question BLSTM reads the first's output
+        _, hq1 = blstm_call(calls, "ctx1_q.seq")
+        hq2, _ = blstm_call(calls, "ctx2_q.seq")
+        for a, b in zip(hq1, hq2, strict=True):
+            np.testing.assert_array_equal(b.data, a.data)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError):
             ModelConfig(variant="transformer")
 
-    def test_coattention_has_both_contexts_only(self):
+    def test_coattention_has_both_contexts_only(self, monkeypatch):
         cfg, vocab, examples = micro_setup("qa-coattention")
         model = Model(cfg, vocab.size)
         assert not any(n.startswith("ctx1_qa") for n in model.params())
-        trace = model.forward(examples[0])
-        assert trace.cq is not None and trace.ca is not None
+        calls = record_layers(model, monkeypatch)
+        model.forward_batch(examples[:1])
+        # every question step attends over the answer and vice versa
+        stories = [args[1].shape[1] for args, _ in calls["attend_step"]]
+        assert stories == [cfg.t_a] * cfg.t_q + [cfg.t_q] * cfg.t_a
 
 
 class TestForward:
-    def test_shapes_and_row_sums(self):
+    def test_shapes_and_row_sums(self, monkeypatch):
         cfg, vocab, examples = micro_setup()
         model = Model(cfg, vocab.size)
-        trace = model.forward(examples[0])
-        assert trace.pq.shape == (cfg.t_q, len(cfg.space))
-        np.testing.assert_allclose(trace.pq.data.sum(axis=-1), 1.0, atol=1e-9)
-        assert trace.hq2.shape == (cfg.t_q, 2 * cfg.blstm_dim)
-        assert trace.ha3.shape == (cfg.blstm_dim,)
-        assert trace.hqa.shape == (cfg.t_q + cfg.t_a, cfg.blstm_dim)
+        calls = record_layers(model, monkeypatch)
+        pq = model.forward_batch(examples)
+        b, n = len(examples), cfg.blstm_dim
+        assert pq.shape == (b * cfg.t_q, len(cfg.space))
+        np.testing.assert_allclose(pq.data.sum(axis=-1), 1.0, atol=1e-9)
+        hq2, _ = blstm_call(calls, "ctx2_q.seq")
+        assert [h.shape for h in hq2] == [(b, 2 * n)] * cfg.t_q
+        _, ha3 = blstm_call(calls, "ctx2_a.pool")
+        assert ha3.shape == (b, n)
+        _, hqa = blstm_call(calls, "ctx1_qa.seq")
+        assert [h.shape for h in hqa] == [(b, n)] * (cfg.t_q + cfg.t_a)
+
+    def test_story_is_question_then_answer(self, monkeypatch):
+        """The story BLSTM reads the question embeddings, then the answer's."""
+        cfg, vocab, examples = micro_setup()
+        model = Model(cfg, vocab.size)
+        calls = record_layers(model, monkeypatch)
+        model.forward_batch(examples)
+        eq, _ = blstm_call(calls, "ctx1_q.seq")
+        ea, _ = blstm_call(calls, "ctx1_a.seq")
+        eqa, _ = blstm_call(calls, "ctx1_qa.seq")
+        assert len(eqa) == cfg.t_q + cfg.t_a
+        for a, b in zip(eq + ea, eqa, strict=True):
+            np.testing.assert_array_equal(b.data, a.data)
 
     def test_pad_only_answer_still_valid(self):
         cfg, vocab, examples = micro_setup()
         ex = examples[0]
         ex.x_a[:] = 0
         ex.a_mask[:] = 0.0
-        ex.x_qa[cfg.t_q:] = 0
         model = Model(cfg, vocab.size)
-        trace = model.forward(ex)
-        assert np.all(np.isfinite(trace.pq.data))
-        np.testing.assert_allclose(trace.pq.data.sum(axis=-1), 1.0, atol=1e-9)
+        pq = probs_of(model, ex)
+        assert np.all(np.isfinite(pq))
+        np.testing.assert_allclose(pq.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_length_mismatch_rejected(self):
         cfg, vocab, examples = micro_setup()
@@ -98,14 +157,13 @@ class TestForward:
         bad = encode(examples[0].pair, vocab, other_cfg)
         model = Model(cfg, vocab.size)
         with pytest.raises(ContractError):
-            model.forward(bad)
+            model.forward_batch([bad])
 
     def test_never_produces_non_finite(self):
         for seed in range(5):
             cfg, vocab, examples = micro_setup(seed=seed)
             model = Model(cfg, vocab.size)
-            bt = model.forward_batch(examples)
-            assert np.all(np.isfinite(bt.pq_flat.data))
+            assert np.all(np.isfinite(model.forward_batch(examples).data))
 
     def test_variant_nesting_zero_attention(self):
         """With the story encoder forced to zero, the full model reduces to
@@ -127,37 +185,31 @@ class TestForward:
                 p.data[...] = sp[name].data
 
         for ex in examples:
-            out_s = sblstm.forward(ex).pq.data
-            out_d = dan.forward(ex).pq.data
+            out_s = probs_of(sblstm, ex)
+            out_d = probs_of(dan, ex)
             np.testing.assert_allclose(out_d, out_s, atol=1e-12)
 
 
 class TestPredictLabels:
-    @staticmethod
-    def _trace_with(pq):
-        return ForwardTrace(hq1=None, ha1=None, hqa=None, cq=None, ca=None,
-                            hq2=None, ha2=None, hq3=None, ha3=None, sq=None,
-                            pq=tc.constant(pq))
-
     def test_one_hot_rows(self):
         pq = np.eye(4)[[2, 0, 3, 1]]
-        labels = predict_labels(self._trace_with(pq), np.ones(4))
+        labels = predict_labels(pq, np.ones(4))
         np.testing.assert_array_equal(labels, [2, 0, 3, 1])
 
     def test_uniform_row_breaks_tie_to_o(self):
         pq = np.full((2, 4), 0.25)
-        labels = predict_labels(self._trace_with(pq), np.ones(2))
+        labels = predict_labels(pq, np.ones(2))
         np.testing.assert_array_equal(labels, [0, 0])
 
     def test_pad_positions_forced_to_o(self):
         pq = np.eye(4)[[1, 1, 1]]
-        labels = predict_labels(self._trace_with(pq), np.array([1, 1, 0]))
+        labels = predict_labels(pq, np.array([1, 1, 0]))
         np.testing.assert_array_equal(labels, [1, 1, 0])
 
     def test_matches_scan_oracle(self):
         rng = np.random.default_rng(0)
         pq = rng.random((10, 5))
-        labels = predict_labels(self._trace_with(pq), np.ones(10))
+        labels = predict_labels(pq, np.ones(10))
         for t in range(10):
             best, best_p = 0, pq[t, 0]
             for l in range(1, 5):
@@ -170,8 +222,8 @@ class TestPredictLabels:
         scores = rng.standard_normal((6, 4))
         p1 = tc.softmax_rows(tc.constant(scores)).data
         p2 = tc.softmax_rows(tc.constant(3.0 * scores + 11.0)).data
-        l1 = predict_labels(self._trace_with(p1), np.ones(6))
-        l2 = predict_labels(self._trace_with(p2), np.ones(6))
+        l1 = predict_labels(p1, np.ones(6))
+        l2 = predict_labels(p2, np.ones(6))
         np.testing.assert_array_equal(l1, l2)
 
 
@@ -266,8 +318,8 @@ class TestCheckpoint:
         assert manifest["labels"] == list(SATISF.labels)
         for name, p in model.params().items():
             np.testing.assert_array_equal(loaded.params()[name].data, p.data)
-        got = loaded.forward_batch(examples).pq_flat.data
-        want = model.forward_batch(examples).pq_flat.data
+        got = loaded.forward_batch(examples).data
+        want = model.forward_batch(examples).data
         np.testing.assert_array_equal(got, want)
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -300,3 +352,33 @@ class TestCheckpoint:
         path.write_bytes(blob[:-16])
         with pytest.raises(ConfigError, match="truncated"):
             load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        cfg, vocab, _ = micro_setup()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, Model(cfg, vocab.size), vocab)
+        with open(path, "ab") as fh:
+            fh.write(b"garbage")
+        with pytest.raises(ConfigError, match="after its last parameter"):
+            load_checkpoint(path)
+
+    def test_save_replaces_the_file_in_one_step(self, tmp_path, monkeypatch):
+        """The checkpoint is written beside its target and renamed over it,
+        so a save that fails leaves the previous file whole."""
+        cfg, vocab, _ = micro_setup()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, Model(cfg, vocab.size), vocab)
+        before = path.read_bytes()
+        renames = []
+
+        def failing_replace(src, dst):
+            renames.append((Path(src), Path(dst)))
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, Model(micro_cfg(seed=1), vocab.size), vocab)
+        [(src, dst)] = renames
+        assert dst == path and src.parent == path.parent and src != path
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == [path]

@@ -9,26 +9,30 @@ from util import fd_gradient, max_rel_err
 
 
 class TestMatmul:
+    """The matrix product, ``bmm``, over a leading batch axis."""
+
     def test_identity(self):
-        out = tc.matmul(tc.constant(np.eye(2)), tc.constant([[1., 2.], [3., 4.]]))
-        np.testing.assert_array_equal(out.data, [[1., 2.], [3., 4.]])
+        out = tc.bmm(tc.constant(np.eye(2)[None]),
+                     tc.constant([[[1., 2.], [3., 4.]]]))
+        np.testing.assert_array_equal(out.data, [[[1., 2.], [3., 4.]]])
 
     def test_hand_product(self):
-        out = tc.matmul(tc.constant([[1., 2.]]), tc.constant([[3.], [4.]]))
-        np.testing.assert_array_equal(out.data, [[11.]])
+        out = tc.bmm(tc.constant([[[1., 2.]]]), tc.constant([[[3.], [4.]]]))
+        np.testing.assert_array_equal(out.data, [[[11.]]])
 
     def test_shape_error_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            tc.matmul(tc.constant(np.zeros((2, 3))), tc.constant(np.zeros((2, 3))))
+        with pytest.raises(ShapeError, match=r"\(1, 2, 3\).*\(1, 2, 3\)"):
+            tc.bmm(tc.constant(np.zeros((1, 2, 3))),
+                   tc.constant(np.zeros((1, 2, 3))))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
-        a = tc.parameter(rng.standard_normal((3, 4)))
-        b = tc.parameter(rng.standard_normal((4, 2)))
-        tc.tensor_sum(tc.matmul(a, b)).backward()
+        a = tc.parameter(rng.standard_normal((2, 3, 4)))
+        b = tc.parameter(rng.standard_normal((2, 4, 2)))
+        tc.tensor_sum(tc.bmm(a, b)).backward()
 
         def loss():
-            return tc.tensor_sum(tc.matmul(a, b)).item()
+            return tc.tensor_sum(tc.bmm(a, b)).item()
 
         fd_a = fd_gradient(loss, a.data)
         fd_b = fd_gradient(loss, b.data)
@@ -109,11 +113,19 @@ class TestConcat:
 
 
 class TestPointwise:
+    """Elementwise ops; the sigmoid and tanh live inside ``lstm_cell``."""
+
     def test_sigmoid_zero(self):
-        assert tc.sigmoid(tc.constant(np.zeros((1, 1)))).data[0, 0] == 0.5
+        # z = 0 opens every sigmoid gate half way: c' = 0.5 * c_prev
+        hc = tc.lstm_cell(tc.constant(np.zeros((1, 4))),
+                          tc.constant(np.ones((1, 1))))
+        assert hc.data[0, 1] == 0.5
 
     def test_tanh_zero(self):
-        assert tc.tanh(tc.constant(np.zeros((1, 1)))).data[0, 0] == 0.0
+        # zero pre-activations and cell give a zero candidate, cell and state
+        hc = tc.lstm_cell(tc.constant(np.zeros((1, 4))),
+                          tc.constant(np.zeros((1, 1))))
+        np.testing.assert_array_equal(hc.data, [[0.0, 0.0]])
 
     def test_binary_shape_mismatch(self):
         a, b = tc.constant(np.zeros((2, 2))), tc.constant(np.zeros((2, 3)))
@@ -122,17 +134,13 @@ class TestPointwise:
         with pytest.raises(ShapeError):
             tc.mul(a, b)
 
-    @pytest.mark.parametrize("op", ["sigmoid", "tanh", "add", "mul"])
+    @pytest.mark.parametrize("op", ["add", "mul"])
     def test_gradients_match_finite_differences(self, op):
         rng = np.random.default_rng(3)
         x = tc.parameter(rng.standard_normal((4, 4)))
         y = tc.parameter(rng.standard_normal((4, 4)))
 
         def build():
-            if op == "sigmoid":
-                return tc.tensor_sum(tc.mul(tc.sigmoid(x), tc.constant(w)))
-            if op == "tanh":
-                return tc.tensor_sum(tc.mul(tc.tanh(x), tc.constant(w)))
             if op == "add":
                 return tc.tensor_sum(tc.mul(tc.add(x, y), tc.constant(w)))
             return tc.tensor_sum(tc.mul(tc.mul(x, y), tc.constant(w)))
@@ -230,9 +238,10 @@ class TestBackward:
     def test_tape_replay_determinism(self):
         def run():
             rng = np.random.default_rng(6)
-            a = tc.parameter(rng.standard_normal((5, 5)))
-            b = tc.parameter(rng.standard_normal((5, 5)))
-            h = tc.tanh(tc.matmul(a, b))
+            a = tc.parameter(rng.standard_normal((1, 5, 5)))
+            b = tc.parameter(rng.standard_normal((1, 5, 20)))
+            z = tc.reshape(tc.bmm(a, b), (5, 20))
+            h = tc.lstm_cell(z, tc.constant(np.zeros((5, 5))))
             out = tc.softmax_rows(tc.concat(h, tc.mul(h, h), axis=1))
             tc.tensor_sum(out).backward()
             return a.grad.copy(), b.grad.copy()
@@ -251,10 +260,11 @@ class TestFusedOps:
         wx = tc.parameter(rng.standard_normal((8, 4)))
         wh = tc.parameter(rng.standard_normal((8, 2)))
         b = tc.parameter(rng.standard_normal(8))
-        tc.tensor_sum(tc.tanh(tc.affine2(x, h, wx, wh, b))).backward()
+        v = tc.constant(rng.standard_normal((3, 8)))
+        tc.tensor_sum(tc.mul(tc.affine2(x, h, wx, wh, b), v)).backward()
 
         def loss():
-            return tc.tensor_sum(tc.tanh(tc.affine2(x, h, wx, wh, b))).item()
+            return tc.tensor_sum(tc.mul(tc.affine2(x, h, wx, wh, b), v)).item()
 
         for t in (x, h, wx, wh, b):
             assert max_rel_err(t.grad, fd_gradient(loss, t.data)) <= 1e-5
@@ -287,14 +297,14 @@ def test_every_op_gradient_over_twenty_seeds():
     """Module invariant: rel err <= 1e-4 at step 1e-4 over >= 20 seeds."""
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        x = tc.parameter(rng.standard_normal((3, 4)))
-        y = tc.parameter(rng.standard_normal((4, 3)))
-        w = tc.constant(rng.standard_normal((3, 3)))
+        x = tc.parameter(rng.standard_normal((1, 3, 4)))
+        y = tc.parameter(rng.standard_normal((1, 4, 12)))
+        w = tc.constant(rng.standard_normal((3, 6)))
 
         def build():
-            m = tc.matmul(x, y)
-            s = tc.softmax_rows(tc.sigmoid(m))
-            return tc.tensor_sum(tc.mul(tc.tanh(s), w))
+            m = tc.reshape(tc.bmm(x, y), (3, 12))
+            s = tc.softmax_rows(tc.lstm_cell(m, tc.constant(np.ones((3, 3)))))
+            return tc.tensor_sum(tc.mul(s, w))
 
         build().backward()
         for t in (x, y):
