@@ -36,12 +36,20 @@ class QAPair:
     task: str
 
     def validate(self):
-        space = get_space(self.task)
-        if not isinstance(self.question_tokens, list) or not self.question_tokens:
-            raise ValidationError(f"pair {self.id}: question must be a non-empty list")
-        if not isinstance(self.answer_tokens, list):
-            raise ValidationError(f"pair {self.id}: answer must be a list")
+        try:
+            space = get_space(self.task)
+        except ConfigError as exc:
+            raise ValidationError(f"pair {self.id}: {exc}") from None
+        if not _is_str_list(self.question_tokens) or not self.question_tokens:
+            raise ValidationError(
+                f"pair {self.id}: question must be a non-empty list of strings")
+        if not _is_str_list(self.answer_tokens):
+            raise ValidationError(
+                f"pair {self.id}: answer must be a list of strings")
         if self.gold_labels is not None:
+            if not _is_str_list(self.gold_labels):
+                raise ValidationError(
+                    f"pair {self.id}: labels must be null or a list of strings")
             if len(self.gold_labels) != len(self.question_tokens):
                 raise ValidationError(
                     f"pair {self.id}: {len(self.gold_labels)} labels for "
@@ -52,6 +60,10 @@ class QAPair:
                     raise ValidationError(
                         f"pair {self.id}: label {lab!r} outside {space.name} space"
                     )
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 def _pair_from_json(obj) -> QAPair:

@@ -2,14 +2,15 @@
 
 Central differences with step 1e-4 in double precision are compared
 against the backward pass of the batch loss on a tiny two-example model.
-The relative error uses max(|analytic|, |numeric|, floor) as denominator
-so near-zero gradients are judged by an absolute criterion.
+The relative error uses max(|analytic|, |numeric|, ERROR_FLOOR) as
+denominator so near-zero gradients are judged by an absolute criterion.
 """
 
 from __future__ import annotations
 
 import time
 import zlib
+from dataclasses import replace
 
 import numpy as np
 
@@ -25,16 +26,16 @@ ERROR_FLOOR = 1e-3
 MICRO = {"d_e": 8, "blstm_dim": 8, "t_q": 6, "t_a": 6, "dropout_rate": 0.0}
 
 
-def micro_batch(task: str = "compat", seed: int = 0, n: int = 2):
-    """Two encoded synthetic examples matching the micro widths."""
-    cfg = ModelConfig(task=task, seed=seed, **MICRO)
-    pairs = synth_generate(n, task, seed)
+def micro_batch(seed: int = 0):
+    """Two encoded synthetic compat examples matching the micro widths."""
+    cfg = ModelConfig(task="compat", seed=seed, **MICRO)
+    pairs = synth_generate(2, "compat", seed)
     vocab = build_vocab(pairs)
     return cfg, vocab, [encode(p, vocab, cfg) for p in pairs]
 
 
 def check_model(model: Model, batch, eps: float = EPS,
-                floor: float = ERROR_FLOOR, max_elements: int | None = None):
+                max_elements: int | None = None):
     """Per-parameter maximum relative error of backward vs finite differences."""
     model.zero_grad()
     loss = batch_loss(model, batch, training=False)
@@ -65,26 +66,24 @@ def check_model(model: Model, batch, eps: float = EPS,
             down = loss_value()
             flat[i] = orig
             fd = (up - down) / (2.0 * eps)
-            err = abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), floor)
+            err = abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), ERROR_FLOOR)
             if err > worst:
                 worst, worst_idx = err, int(i)
         report[name] = {"max_rel_err": worst, "element": worst_idx}
     return report
 
 
-def run(seed: int = 0, eps: float = EPS, tolerance: float = TOLERANCE,
-        variants=VARIANTS, max_elements: int | None = None):
+def run(seed: int = 0, eps: float = EPS, max_elements: int | None = None):
     """Gradient-check every variant; returns (ok, per-variant report, seconds)."""
     started = time.monotonic()
+    cfg, vocab, batch = micro_batch(seed=seed)
     results = {}
     ok = True
-    for variant in variants:
-        cfg, vocab, batch = micro_batch(seed=seed)
-        cfg = ModelConfig(variant=variant, task=cfg.task, seed=seed, **MICRO)
-        model = Model(cfg, vocab.size)
+    for variant in VARIANTS:
+        model = Model(replace(cfg, variant=variant), vocab.size)
         report = check_model(model, batch, eps=eps, max_elements=max_elements)
         results[variant] = report
-        if any(r["max_rel_err"] > tolerance for r in report.values()):
+        if any(r["max_rel_err"] > TOLERANCE for r in report.values()):
             ok = False
     return ok, results, time.monotonic() - started
 

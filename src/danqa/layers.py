@@ -1,7 +1,8 @@
 """Reusable network layers: embeddings, BLSTMs, attention, dense head.
 
-Sequences are lists of per-timestep ``(B, d)`` tensors, so the recurrences
-and the attention steps stay vectorized over the batch.
+The recurrences consume and return lists of per-timestep ``(B, d)``
+tensors, vectorized over the batch; attention takes whole ``(B, T, d)``
+sequences.
 """
 
 from __future__ import annotations
@@ -123,25 +124,22 @@ class BLSTMLayer:
         return out
 
 
-def attend_step(src_t: Tensor, story: Tensor, story_swapped: Tensor,
-                mask_bias: Tensor):
-    """Batched one-timestep dot-product attention over a story.
+def attend_step(src: Tensor, story: Tensor, story_mask):
+    """Dot-product attention of every step of a source over a story.
 
-    ``src_t`` is (B, d); ``story`` is (B, S, d) with ``story_swapped`` its
-    (B, d, S) transpose; ``mask_bias`` is a (B, S) additive logit mask
-    (``NEG_INF`` at padded positions, which then get exactly zero weight).
-    Returns ``(context, weights)``: the (B, d) weight-averaged story rows
-    and the (B, S) row-softmax of the masked ``src_t . story`` logits.
+    ``src`` is (B, T, d) and ``story`` is (B, S, d); ``story_mask`` is the
+    (B, S) 0/1 array of real story positions. Padded positions get a
+    ``NEG_INF`` logit and so exactly zero weight. Returns ``(context,
+    weights)``: the (B, T, d) weight-averaged story rows and the (B, T, S)
+    row-softmax of the masked ``src . story`` logits.
     """
-    batch, dim = src_t.shape
-    s_len = story.shape[1]
-    scores = tc.bmm(tc.reshape(src_t, (batch, 1, dim)), story_swapped)
-    scores = tc.add(tc.reshape(scores, (batch, s_len)), mask_bias)
-    weights = tc.softmax_rows(scores)
-    ctx = tc.bmm(tc.reshape(weights, (batch, 1, s_len)), story)
-    return tc.reshape(ctx, (batch, dim)), weights
+    scores = tc.bmm(src, tc.swap_last2(story))
+    bias = np.where(np.asarray(story_mask) > 0, 0.0, NEG_INF)[:, None, :]
+    weights = tc.softmax_rows(
+        tc.add(scores, tc.constant(np.broadcast_to(bias, scores.shape))))
+    return tc.bmm(weights, story), weights
 
 
 def dense_shared(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Position-shared affine map from (T, d) features to (T, n_labels) scores."""
+    """Position-shared affine map from (B·T, d) features to (B·T, L) scores."""
     return tc.affine(h, w, b)

@@ -21,7 +21,7 @@ from . import tensor as tc
 from .corpus import Vocab
 from .errors import ConfigError, ContractError, ShapeError
 from .labels import KIND_TARGET, KIND_FUNCWORD, LabelSpace, get_space, label_runs
-from .layers import NEG_INF, BLSTMLayer, EmbeddingTable
+from .layers import BLSTMLayer, EmbeddingTable
 from .tensor import Tensor
 
 VARIANTS = ("dan", "dan-no-ans-attn", "qa-s-blstm", "qa-coattention")
@@ -156,22 +156,15 @@ class Model:
 
         cq = ca = None
         if self.ctx1_qa is not None:
-            hqa = [drop(h) for h in self.ctx1_qa.seq(eq + ea)]
-            story = tc.stack_time(hqa)
-            story_sw = tc.swap_last2(story)
-            bias = tc.constant(
-                np.where(np.concatenate([qm, am], axis=1) > 0, 0.0, NEG_INF))
-            cq = [layers.attend_step(h, story, story_sw, bias)[0] for h in hq1]
+            story = tc.stack_time([drop(h) for h in self.ctx1_qa.seq(eq + ea)])
+            mask = np.concatenate([qm, am], axis=1)
+            cq = _context_steps(tc.stack_time(hq1), story, mask)
             if cfg.variant == "dan":
-                ca = [layers.attend_step(h, story, story_sw, bias)[0] for h in ha1]
+                ca = _context_steps(tc.stack_time(ha1), story, mask)
         elif cfg.variant == "qa-coattention":
-            story_q = tc.stack_time(hq1)
-            story_a = tc.stack_time(ha1)
-            bias_q = tc.constant(np.where(qm > 0, 0.0, NEG_INF))
-            bias_a = tc.constant(np.where(am > 0, 0.0, NEG_INF))
-            sw_q, sw_a = tc.swap_last2(story_q), tc.swap_last2(story_a)
-            cq = [layers.attend_step(h, story_a, sw_a, bias_a)[0] for h in hq1]
-            ca = [layers.attend_step(h, story_q, sw_q, bias_q)[0] for h in ha1]
+            story_q, story_a = tc.stack_time(hq1), tc.stack_time(ha1)
+            cq = _context_steps(story_q, story_a, am)
+            ca = _context_steps(story_a, story_q, qm)
 
         hq2 = [tc.concat(h, c, axis=1) for h, c in zip(hq1, cq)] if cq else hq1
         ha2 = [tc.concat(h, c, axis=1) for h, c in zip(ha1, ca)] if ca else ha1
@@ -184,6 +177,14 @@ class Model:
         flat = drop(flat)
         return tc.softmax_rows(
             layers.dense_shared(flat, self.dense_w, self.dense_b))
+
+
+def _context_steps(src: Tensor, story: Tensor, story_mask) -> list:
+    """Attend a (B, T, d) source over a story; its context as T (B, d) steps."""
+    ctx, _ = layers.attend_step(src, story, story_mask)
+    batch, t_len, dim = ctx.shape
+    flat = tc.reshape(ctx, (batch, t_len * dim))
+    return [tc.slice_cols(flat, t * dim, (t + 1) * dim) for t in range(t_len)]
 
 
 def predict_labels(probs, mask) -> np.ndarray:
@@ -302,6 +303,8 @@ def decode_tuples(labels, tokens, product_id: str, space: LabelSpace):
 # ---------------------------------------------------------------------------
 # checkpoint serialization (little-endian float64 blobs + JSON manifest)
 
+MANIFEST_KEYS = {"config", "labels", "vocab_hash", "vocab_tokens", "params"}
+
 
 def save_checkpoint(path, model: Model, vocab: Vocab, extra: dict | None = None):
     params = model.params()
@@ -333,18 +336,40 @@ def save_checkpoint(path, model: Model, vocab: Vocab, extra: dict | None = None)
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (model, vocab, manifest)."""
+    """Read a checkpoint; returns (model, vocab, manifest).
+
+    A file that is not a whole checkpoint raises ``ConfigError`` naming
+    ``path``.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ConfigError(f"{path} is not a checkpoint file")
-        (mlen,) = struct.unpack("<I", fh.read(4))
-        manifest = json.loads(fh.read(mlen).decode("utf-8"))
+        head = fh.read(4)
+        if len(head) != 4:
+            raise ConfigError(f"{path} is truncated inside its manifest length")
+        (mlen,) = struct.unpack("<I", head)
+        try:
+            manifest = json.loads(fh.read(mlen).decode("utf-8"))
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise ConfigError(f"{path} has an unreadable manifest: {exc}") from None
+        if not isinstance(manifest, dict):
+            raise ConfigError(f"{path} has a manifest that is not a JSON object")
         if manifest.get("format_version") != 1:
             raise ConfigError(
                 f"unsupported checkpoint format {manifest.get('format_version')}"
             )
-        cfg = ModelConfig(**manifest["config"])
+        missing = sorted(MANIFEST_KEYS - manifest.keys())
+        if missing:
+            raise ConfigError(f"{path} manifest lacks {missing}")
+        try:
+            cfg = ModelConfig(**manifest["config"])
+        except TypeError as exc:
+            raise ConfigError(f"{path} has a bad model config: {exc}") from None
+        if manifest["labels"] != list(cfg.space.labels):
+            raise ConfigError(
+                f"{path} labels {manifest['labels']} do not match the "
+                f"{cfg.task} label space {list(cfg.space.labels)}")
         tokens = manifest["vocab_tokens"]
         vocab = Vocab(tokens[2:])
         if vocab.sha256() != manifest["vocab_hash"]:

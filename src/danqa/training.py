@@ -22,7 +22,6 @@ class TrainConfig:
     max_epochs: int = 10
     patience: int = 5
     seed: int = 0
-    shuffle: bool = True
     lr: float = 0.001
     grad_clip: float | None = None
     stop_at_token_acc: float | None = None
@@ -119,11 +118,12 @@ def _clip_gradients(params: dict, max_norm: float):
 
 
 def fit(model: Model, train, valid, tcfg: TrainConfig):
-    """Train with early stopping; returns (model at best epoch, history).
+    """Train with early stopping; returns (model, history, best).
 
     Each epoch shuffles by seed XOR epoch, sums the batch losses, then
-    scores the validation set; the parameters of the epoch with the best
-    validation span F1 are restored before returning.
+    scores the validation set. ``model`` gets back the parameters of the
+    epoch with the best validation span F1, ``history`` has one entry per
+    epoch run, and ``best`` holds that ``best_epoch`` and its ``best_f1``.
     """
     params = model.params()
     adam = Adam(params, lr=tcfg.lr)
@@ -135,10 +135,7 @@ def fit(model: Model, train, valid, tcfg: TrainConfig):
 
     n = len(train)
     for epoch in range(1, tcfg.max_epochs + 1):
-        if tcfg.shuffle:
-            order = np.random.default_rng(tcfg.seed ^ epoch).permutation(n)
-        else:
-            order = np.arange(n)
+        order = np.random.default_rng(tcfg.seed ^ epoch).permutation(n)
         epoch_loss = 0.0
         for bi, lo in enumerate(range(0, n, tcfg.batch_size)):
             batch = [train[i] for i in order[lo:lo + tcfg.batch_size]]

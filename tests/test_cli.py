@@ -9,6 +9,7 @@ from danqa import tensor as tc
 from danqa.cli import PRESETS, build_parser, main
 from danqa.corpus import load_corpus
 from danqa.model import load_checkpoint
+from test_model import MALFORMED_CHECKPOINTS, spoil_checkpoint
 
 
 def run(*argv):
@@ -213,6 +214,30 @@ class TestPredict:
                    "--in", str(bad), "--out", str(tmp_path / "x.jsonl"))
         assert code == 2
         assert "line 1: expected a JSON object" in capsys.readouterr().err
+
+    def test_wrong_field_type_is_validation_error(self, tiny_run, tmp_path,
+                                                  capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps({
+            "id": "x", "product_id": "p", "task": "compat",
+            "question": ["a", "b"], "answer": ["yes"], "labels": 5}) + "\n")
+        code = run("predict", "--checkpoint", str(tiny_run["checkpoint"]),
+                   "--in", str(bad), "--out", str(tmp_path / "x.jsonl"))
+        assert code == 2
+        assert "line 1: pair x: labels must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("how", MALFORMED_CHECKPOINTS)
+    def test_malformed_checkpoint_is_one_line_error(self, tiny_run, tmp_path,
+                                                    capsys, how):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(tiny_run["checkpoint"].read_bytes())
+        spoil_checkpoint(bad, how)
+        code = run("predict", "--checkpoint", str(bad),
+                   "--in", str(tiny_run["corpus"]),
+                   "--out", str(tmp_path / "x.jsonl"))
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert str(bad) in err and len(err.splitlines()) == 1
 
 
 class TestGradcheckCommand:

@@ -61,6 +61,27 @@ class TestLoadSave:
         with pytest.raises(ValidationError, match="line 2"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("field, value, problem", [
+        ("labels", 5, "labels must be null or a list of strings"),
+        ("labels", "OO", "labels must be null or a list of strings"),
+        ("labels", ["O", 5], "labels must be null or a list of strings"),
+        ("question", [1, 2], "question must be a non-empty list of strings"),
+        ("question", "ab", "question must be a non-empty list of strings"),
+        ("answer", ["yes", None], "answer must be a list of strings"),
+        ("task", "nope", "unknown task 'nope'"),
+    ])
+    def test_wrong_field_type_reports_line(self, tmp_path, field, value,
+                                           problem):
+        rec = {"id": "x", "product_id": "p", "task": "compat",
+               "question": ["a", "b"], "answer": ["yes"], "labels": ["O", "C"]}
+        rec[field] = value
+        path = tmp_path / "bad.jsonl"
+        save_corpus([SURFACE_QA], path)
+        with open(path, "a") as fh:
+            fh.write(json.dumps(rec) + "\n")
+        with pytest.raises(ValidationError, match=f"line 2: pair x: {problem}"):
+            load_corpus(path)
+
     @pytest.mark.parametrize("line", ["5", "null", "[1, 2]", '"text"'])
     def test_non_object_line_reports_line(self, tmp_path, line):
         path = tmp_path / "bad.jsonl"

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from danqa import layers, tensor as tc
+from danqa import tensor as tc
 from danqa.errors import ConfigError, ShapeError, VocabError
 from danqa.layers import BLSTMLayer, EmbeddingTable, attend_step, dense_shared
 from util import fd_gradient, max_rel_err
@@ -27,15 +28,28 @@ def seq_matrix(layer, x):
 
 
 def attention(src, story, mask=None):
-    """Attend each (T, d) ``src`` row over a (S, d) story; (context, weights)
-    as (T, d) and (T, S) arrays, one ``attend_step`` call per row."""
-    story3 = tc.constant(np.asarray(story, dtype=float)[None])
-    mask = np.ones(story3.shape[1]) if mask is None else np.asarray(mask)
-    bias = tc.constant(np.where(mask > 0, 0.0, layers.NEG_INF)[None])
-    steps = [attend_step(h, story3, tc.swap_last2(story3), bias)
-             for h in as_steps(src)]
-    return (np.concatenate([c.data for c, _ in steps]),
-            np.concatenate([w.data for _, w in steps]))
+    """Attend every (T, d) ``src`` row over a (S, d) story in one
+    ``attend_step`` call; (context, weights) as (T, d) and (T, S) arrays."""
+    src, story = np.asarray(src, dtype=float), np.asarray(story, dtype=float)
+    mask = np.ones(len(story)) if mask is None else np.asarray(mask)
+    context, weights = attend_step(tc.constant(src[None]),
+                                   tc.constant(story[None]), mask[None])
+    return context.data[0], weights.data[0]
+
+
+def reference_attention(src, story, mask):
+    """Per-row numpy softmax of ``src_t . story`` over the real positions."""
+    batch, t_len, _ = src.shape
+    context = np.zeros(src.shape)
+    weights = np.zeros((batch, t_len, story.shape[1]))
+    for b in range(batch):
+        real = mask[b] > 0
+        for t in range(t_len):
+            logits = story[b, real] @ src[b, t]
+            e = np.exp(logits - logits.max())
+            weights[b, t, real] = e / e.sum()
+            context[b, t] = weights[b, t] @ story[b]
+    return context, weights
 
 
 class TestEmbedding:
@@ -169,34 +183,51 @@ class TestAttention:
         np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_batched_step_matches_single_sequence_attention(self):
-        """One batched step over three stories equals each story's own
+        """One batched call over three stories equals each story's own
         closed-form attention, softmax(src . story + mask) averaging story."""
         rng = np.random.default_rng(12)
-        src = rng.standard_normal((3, 4))
+        src = rng.standard_normal((3, 2, 4))
         stories = rng.standard_normal((3, 5, 4))
         masks = np.array([[1, 1, 1, 0, 1], [1, 1, 1, 1, 1], [1, 0, 0, 0, 0]],
                          dtype=float)
-        story3 = tc.constant(stories)
-        bias = tc.constant(np.where(masks > 0, 0.0, layers.NEG_INF))
-        context, weights = attend_step(tc.constant(src), story3,
-                                       tc.swap_last2(story3), bias)
+        context, weights = attend_step(tc.constant(src), tc.constant(stories),
+                                       masks)
         for b in range(3):
-            logits = np.where(masks[b] > 0, stories[b] @ src[b], -np.inf)
-            ref = np.exp(logits - logits.max())
-            ref /= ref.sum()
-            np.testing.assert_allclose(weights.data[b], ref, atol=1e-12)
-            np.testing.assert_allclose(context.data[b], ref @ stories[b],
-                                       atol=1e-12)
+            for t in range(2):
+                logits = np.where(masks[b] > 0, stories[b] @ src[b, t], -np.inf)
+                ref = np.exp(logits - logits.max())
+                ref /= ref.sum()
+                np.testing.assert_allclose(weights.data[b, t], ref, atol=1e-12)
+                np.testing.assert_allclose(context.data[b, t], ref @ stories[b],
+                                           atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 5), st.integers(1, 6),
+           st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_matches_per_row_reference(self, batch, t_len, s_len, dim, seed):
+        rng = np.random.default_rng(seed)
+        src = rng.standard_normal((batch, t_len, dim))
+        story = rng.standard_normal((batch, s_len, dim))
+        mask = (rng.random((batch, s_len)) < 0.6).astype(float)
+        mask[np.arange(batch), rng.integers(s_len, size=batch)] = 1.0
+        context, weights = attend_step(tc.constant(src), tc.constant(story),
+                                       mask)
+        ref_context, ref_weights = reference_attention(src, story, mask)
+        np.testing.assert_allclose(weights.data, ref_weights, rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(context.data, ref_context, rtol=0,
+                                   atol=1e-12)
+        assert np.all(np.where(mask[:, None, :] == 0, weights.data, 0.0) == 0.0)
 
     def test_attention_gradients(self):
         rng = np.random.default_rng(13)
-        src = tc.parameter(rng.standard_normal((3, 4)))
+        src = tc.parameter(rng.standard_normal((3, 2, 4)))
         story = tc.parameter(rng.standard_normal((3, 5, 4)))
-        bias = tc.constant(np.zeros((3, 5)))
-        w = tc.constant(rng.standard_normal((3, 4)))
+        mask = np.ones((3, 5))
+        w = tc.constant(rng.standard_normal((3, 2, 4)))
 
         def build():
-            context, _ = attend_step(src, story, tc.swap_last2(story), bias)
+            context, _ = attend_step(src, story, mask)
             return tc.tensor_sum(tc.mul(context, w))
 
         build().backward()

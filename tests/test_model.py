@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import struct
 from pathlib import Path
 
@@ -59,6 +60,32 @@ def blstm_call(calls, name):
     return args[0], out
 
 
+MALFORMED_CHECKPOINTS = ("cut_in_manifest_length", "non_json_manifest",
+                         "non_object_manifest", "missing_manifest_key",
+                         "unknown_config_key", "labels_of_another_task")
+
+
+def spoil_checkpoint(path, how):
+    """Rewrite a saved checkpoint in one of the MALFORMED_CHECKPOINTS ways."""
+    blob = path.read_bytes()
+    head = len(CHECKPOINT_MAGIC)
+    if how == "cut_in_manifest_length":
+        path.write_bytes(blob[:head + 2])
+        return
+    mlen = struct.unpack("<I", blob[head:head + 4])[0]
+    manifest = json.loads(blob[head + 4:head + 4 + mlen].decode())
+    text = {"non_json_manifest": b"{not json", "non_object_manifest": b"[1]"}
+    if how == "missing_manifest_key":
+        del manifest["vocab_tokens"]
+    elif how == "unknown_config_key":
+        manifest["config"]["colour"] = "red"
+    elif how == "labels_of_another_task":
+        manifest["labels"] = list(SATISF.labels)
+    doctored = text.get(how, json.dumps(manifest).encode())
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(doctored))
+                     + doctored + blob[head + 4 + mlen:])
+
+
 def probs_of(model, example):
     """(T_q, L) label distributions of one example."""
     return model.forward_batch([example]).data
@@ -107,9 +134,21 @@ class TestBuild:
         assert not any(n.startswith("ctx1_qa") for n in model.params())
         calls = record_layers(model, monkeypatch)
         model.forward_batch(examples[:1])
-        # every question step attends over the answer and vice versa
-        stories = [args[1].shape[1] for args, _ in calls["attend_step"]]
-        assert stories == [cfg.t_a] * cfg.t_q + [cfg.t_q] * cfg.t_a
+        # the question attends over the answer, then the answer over the question
+        attends = [args for args, _ in calls["attend_step"]]
+        assert [story.shape[1] for _, story, _ in attends] == [cfg.t_a, cfg.t_q]
+        assert [src.shape[1] for src, _, _ in attends] == [cfg.t_q, cfg.t_a]
+
+    @pytest.mark.parametrize("variant, n_calls", [
+        ("dan", 2), ("dan-no-ans-attn", 1), ("qa-coattention", 2),
+        ("qa-s-blstm", 0)])
+    def test_one_attention_call_per_attending_source(self, monkeypatch,
+                                                     variant, n_calls):
+        cfg, vocab, examples = micro_setup(variant)
+        model = Model(cfg, vocab.size)
+        calls = record_layers(model, monkeypatch)
+        model.forward_batch(examples)
+        assert len(calls.get("attend_step", [])) == n_calls
 
 
 class TestForward:
@@ -341,6 +380,15 @@ class TestCheckpoint:
         path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(doctored))
                          + doctored + blob[12 + mlen:])
         with pytest.raises(ConfigError, match="shape"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("how", MALFORMED_CHECKPOINTS)
+    def test_malformed_file_names_its_path(self, tmp_path, how):
+        cfg, vocab, _ = micro_setup(task="compat")
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, Model(cfg, vocab.size), vocab)
+        spoil_checkpoint(path, how)
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
             load_checkpoint(path)
 
     def test_truncated_file_rejected(self, tmp_path):
