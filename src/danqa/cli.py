@@ -20,7 +20,7 @@ from .corpus import build_vocab, encode, load_corpus, save_corpus, split, synth_
 from .embeddings import init_table, load_vectors
 from .errors import (ConfigError, ContractError, DomainError, NumericError,
                      ShapeError, UsageError, ValidationError, VocabError)
-from .metrics import render_table, score_for_task, spans_from_labels
+from .metrics import render_table
 from .model import (Model, ModelConfig, decode_tuples, load_checkpoint,
                     predict_label_batches, save_checkpoint)
 from .training import TrainConfig, evaluate_dataset, fit
@@ -61,8 +61,11 @@ def _parse_mix(text: str):
         mix = [float(x) for x in text.split(",")]
     except ValueError:
         raise UsageError(f"--mix must be three comma-separated floats, got {text!r}")
-    if len(mix) != 3 or abs(sum(mix) - 1.0) > 1e-9:
-        raise UsageError(f"--mix must be 3 weights summing to 1, got {text!r}")
+    # a NaN weight fails ``>= 0`` too
+    if (len(mix) != 3 or not all(w >= 0.0 for w in mix)
+            or abs(sum(mix) - 1.0) > 1e-9):
+        raise UsageError(
+            f"--mix must be 3 non-negative weights summing to 1, got {text!r}")
     return mix
 
 
@@ -115,8 +118,7 @@ def cmd_train(args) -> int:
     model = Model(cfg, vocab.size, embedding=embedding)
 
     tcfg = TrainConfig(batch_size=args.batch, max_epochs=args.epochs,
-                       patience=args.patience, seed=args.seed, lr=args.lr,
-                       grad_clip=args.grad_clip)
+                       patience=args.patience, seed=args.seed, lr=args.lr)
     model, history, summary = fit(model, train_ex, valid_ex, tcfg)
 
     out = Path(args.out)
@@ -143,8 +145,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _eval_one(ckpt_path, corpus_path, which_split: str,
-              labels_as_predictions: bool):
+def _eval_one(ckpt_path, corpus_path, which_split: str):
     model, vocab, manifest = load_checkpoint(ckpt_path)
     cfg = model.cfg
     pairs = _load_task_corpus(corpus_path, cfg.task)
@@ -159,13 +160,7 @@ def _eval_one(ckpt_path, corpus_path, which_split: str,
         )
     chosen = test_pairs if which_split == "test" else pairs
     examples = [encode(p, vocab, cfg) for p in chosen]
-    if labels_as_predictions:
-        spans = [spans_from_labels(ex.y[:int(ex.q_mask.sum())], cfg.space)
-                 for ex in examples]
-        report = score_for_task(cfg.task, spans, spans)
-    else:
-        report = evaluate_dataset(model, examples)["report"]
-    row = dict(report.to_json())
+    row = dict(evaluate_dataset(model, examples)["report"].to_json())
     row["method"] = cfg.variant
     row["task"] = cfg.task
     return row
@@ -175,8 +170,7 @@ def cmd_eval(args) -> int:
     rows = []
     task = None
     for ckpt in args.checkpoint:
-        row = _eval_one(ckpt, args.corpus, args.split,
-                        args.labels_as_predictions)
+        row = _eval_one(ckpt, args.corpus, args.split)
         if task is None:
             task = row["task"]
         elif task != row["task"]:
@@ -221,7 +215,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    ok, results, elapsed = gradcheck_mod.run(seed=args.seed, eps=args.eps,
+    if args.max_elements is not None and args.max_elements < 1:
+        raise UsageError(
+            f"--max-elements must be >= 1, got {args.max_elements}")
+    ok, results, elapsed = gradcheck_mod.run(seed=args.seed,
                                              max_elements=args.max_elements)
     for variant, report in results.items():
         worst_param = max(report, key=lambda k: report[k]["max_rel_err"])
@@ -284,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=tuple(PRESETS), default=None)
     p.add_argument("--patience", type=int, default=5)
     p.add_argument("--min-count", dest="min_count", type=int, default=1)
-    p.add_argument("--grad-clip", dest="grad_clip", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--vectors", default=None)
     p.add_argument("--ngrams", default=None)
@@ -296,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--split", choices=("test", "all"), default="test")
     p.add_argument("--report-out", dest="report_out", default=None)
-    p.add_argument("--labels-as-predictions", action="store_true")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="extract tuples from QA pairs")
@@ -308,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck",
                        help="finite-difference check of all variants")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=1e-4)
     p.add_argument("--max-elements", dest="max_elements", type=int,
                    default=None,
                    help="sample at most this many elements per parameter "

@@ -127,9 +127,6 @@ class Vocab:
             if i >= 2:
                 self.token_to_index[tok] = i
 
-    def __len__(self):
-        return len(self.tokens)
-
     @property
     def size(self):
         return len(self.tokens)
@@ -285,8 +282,10 @@ def synth_generate(n: int, task: str, seed: int, polarity_mix=(0.5, 0.3, 0.2)):
         raise ConfigError(f"n must be >= 1, got {n}")
     space = get_space(task)
     mix = [float(x) for x in polarity_mix]
-    if len(mix) != 3 or abs(sum(mix) - 1.0) > 1e-9:
-        raise ConfigError(f"polarity_mix must be 3 weights summing to 1, got {mix}")
+    if (len(mix) != 3 or not all(w >= 0.0 for w in mix)
+            or abs(sum(mix) - 1.0) > 1e-9):
+        raise ConfigError(
+            f"polarity_mix must be 3 non-negative weights summing to 1, got {mix}")
 
     rng = np.random.default_rng(seed)
     pairs = []

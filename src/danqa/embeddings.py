@@ -24,9 +24,6 @@ class PretrainedVectors:
         self.dim = dim
         self.ngrams = ngrams
 
-    def __len__(self):
-        return len(self.words)
-
 
 def _parse_vector_file(path, expected_dim: int) -> dict:
     out = {}
@@ -76,11 +73,11 @@ def load_vectors(path, expected_dim: int, ngram_path=None) -> PretrainedVectors:
     return PretrainedVectors(words, expected_dim, ngrams)
 
 
-def char_ngrams(token: str, n_min: int = NGRAM_MIN, n_max: int = NGRAM_MAX):
+def char_ngrams(token: str):
     """Boundary-marked character n-grams of a token, in scan order."""
     marked = f"<{token}>"
     grams = []
-    for n in range(n_min, n_max + 1):
+    for n in range(NGRAM_MIN, NGRAM_MAX + 1):
         for i in range(len(marked) - n + 1):
             grams.append(marked[i:i + n])
     return grams

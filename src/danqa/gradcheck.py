@@ -34,8 +34,7 @@ def micro_batch(seed: int = 0):
     return cfg, vocab, [encode(p, vocab, cfg) for p in pairs]
 
 
-def check_model(model: Model, batch, eps: float = EPS,
-                max_elements: int | None = None):
+def check_model(model: Model, batch, max_elements: int | None = None):
     """Per-parameter maximum relative error of backward vs finite differences."""
     model.zero_grad()
     loss = batch_loss(model, batch, training=False)
@@ -60,12 +59,12 @@ def check_model(model: Model, batch, eps: float = EPS,
         worst_idx = -1
         for i in picks:
             orig = flat[i]
-            flat[i] = orig + eps
+            flat[i] = orig + EPS
             up = loss_value()
-            flat[i] = orig - eps
+            flat[i] = orig - EPS
             down = loss_value()
             flat[i] = orig
-            fd = (up - down) / (2.0 * eps)
+            fd = (up - down) / (2.0 * EPS)
             err = abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), ERROR_FLOOR)
             if err > worst:
                 worst, worst_idx = err, int(i)
@@ -73,7 +72,7 @@ def check_model(model: Model, batch, eps: float = EPS,
     return report
 
 
-def run(seed: int = 0, eps: float = EPS, max_elements: int | None = None):
+def run(seed: int = 0, max_elements: int | None = None):
     """Gradient-check every variant; returns (ok, per-variant report, seconds)."""
     started = time.monotonic()
     cfg, vocab, batch = micro_batch(seed=seed)
@@ -81,7 +80,7 @@ def run(seed: int = 0, eps: float = EPS, max_elements: int | None = None):
     ok = True
     for variant in VARIANTS:
         model = Model(replace(cfg, variant=variant), vocab.size)
-        report = check_model(model, batch, eps=eps, max_elements=max_elements)
+        report = check_model(model, batch, max_elements=max_elements)
         results[variant] = report
         if any(r["max_rel_err"] > TOLERANCE for r in report.values()):
             ok = False

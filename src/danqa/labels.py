@@ -7,7 +7,7 @@ carrying a polarity, or a function-word label carrying a polarity.
 
 from __future__ import annotations
 
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 
 KIND_OTHER = "O"
 KIND_TARGET = "target"
@@ -34,8 +34,24 @@ class LabelSpace:
         except KeyError:
             raise ConfigError(f"label {label!r} not in space {self.name}") from None
 
-    def label(self, idx: int) -> str:
-        return self.labels[idx]
+    def indices(self, labels) -> list:
+        """Indices of a sequence of label strings or label indices.
+
+        A label outside the space raises ``ContractError``.
+        """
+        out = []
+        for lab in labels:
+            if isinstance(lab, str):
+                idx = self._index.get(lab)
+                if idx is None:
+                    raise ContractError(f"label {lab!r} outside space {self.name}")
+            else:
+                idx = int(lab)
+                if not 0 <= idx < len(self.labels):
+                    raise ContractError(
+                        f"label index {lab} outside space {self.name}")
+            out.append(idx)
+        return out
 
     def kind(self, idx: int) -> str:
         return self._kinds[idx]

@@ -28,11 +28,11 @@ class EmbeddingTable:
     (index 0) starts at zero and stays trainable.
     """
 
-    def __init__(self, weights: np.ndarray, trainable: bool = True):
+    def __init__(self, weights: np.ndarray):
         weights = np.asarray(weights, dtype=np.float64)
         if weights.ndim != 2:
             raise ShapeError(f"embedding table must be 2-D, got {weights.shape}")
-        self.table = Tensor(weights, requires_grad=trainable)
+        self.table = Tensor(weights, requires_grad=True)
 
     @classmethod
     def random(cls, dim: int, vocab_size: int, rng) -> "EmbeddingTable":

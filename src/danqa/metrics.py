@@ -3,10 +3,10 @@
 A predicted target counts as a positive extraction when it covers at
 least half of a gold target's tokens (overlap measured against the gold
 span length). Matching is one-to-one, greedy by descending overlap with
-leftmost-prediction tie-breaks. Polarity of an extraction is majority
-vote over its tokens. The compatibility score macro-averages F1 over the
-three polarity classes; the extraction-only F1 ignores polarity; polarity
-accuracy is measured over positive extractions.
+leftmost-prediction tie-breaks. A span is a maximal run of one label, so
+its polarity is the polarity of that label. The compatibility score
+macro-averages F1 over the three polarity classes; the extraction-only F1
+ignores polarity; polarity accuracy is measured over positive extractions.
 
 For satisfiability, an extraction additionally needs a function-word hit:
 some predicted function-word position that is a gold function-word
@@ -41,29 +41,17 @@ class SpanPred:
 
 
 def spans_from_labels(labels, space: LabelSpace):
-    """Maximal same-label runs of a label sequence as typed spans."""
-    idx = []
-    for lab in labels:
-        idx.append(space.index(lab) if isinstance(lab, str) else int(lab))
+    """Maximal same-label runs of a label sequence as typed spans.
+
+    ``labels`` holds label strings or indices; one outside ``space``
+    raises ``ContractError``.
+    """
     spans = []
-    for s, e, lab in label_runs(idx):
+    for s, e, lab in label_runs(space.indices(labels)):
         kind = space.kind(lab)
         if kind != KIND_OTHER:
             spans.append(SpanPred(s, e, space.polarity(lab), kind))
     return spans
-
-
-def polarity_of_extraction(labels, space: LabelSpace) -> int:
-    """Majority polarity class over a span's labels; ties go to class 1 < 2 < 3."""
-    if len(labels) == 0:
-        raise ContractError("polarity vote needs a non-empty span")
-    votes = {c: 0 for c in POLARITY_CLASSES}
-    for lab in labels:
-        idx = space.index(lab) if isinstance(lab, str) else int(lab)
-        pol = space.polarity(idx)
-        if pol:
-            votes[pol] += 1
-    return max(POLARITY_CLASSES, key=lambda c: (votes[c], -c))
 
 
 def overlap_ratio(pred: SpanPred, gold: SpanPred) -> float:

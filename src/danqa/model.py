@@ -20,8 +20,9 @@ from . import layers
 from . import tensor as tc
 from .corpus import Vocab
 from .errors import ConfigError, ContractError, ShapeError
-from .labels import KIND_TARGET, KIND_FUNCWORD, LabelSpace, get_space, label_runs
+from .labels import KIND_TARGET, KIND_FUNCWORD, LabelSpace, get_space
 from .layers import BLSTMLayer, EmbeddingTable
+from .metrics import spans_from_labels
 from .tensor import Tensor
 
 VARIANTS = ("dan", "dan-no-ans-attn", "qa-s-blstm", "qa-coattention")
@@ -253,22 +254,11 @@ def decode_tuples(labels, tokens, product_id: str, space: LabelSpace):
     the same polarity class within FUNCWORD_WINDOW tokens; function-word
     spans attached to no target become tuples with an empty target.
     """
-    idx = []
-    for lab in labels[:len(tokens)]:
-        if isinstance(lab, str):
-            if lab not in space:
-                raise ContractError(f"label {lab!r} outside space {space.name}")
-            idx.append(space.index(lab))
-        else:
-            if not (0 <= int(lab) < len(space)):
-                raise ContractError(f"label index {lab} outside space {space.name}")
-            idx.append(int(lab))
-
-    runs = label_runs(idx)
-    targets = [(s, e, space.polarity(lab)) for s, e, lab in runs
-               if space.kind(lab) == KIND_TARGET]
-    funcs = [(s, e, space.polarity(lab)) for s, e, lab in runs
-             if space.kind(lab) == KIND_FUNCWORD]
+    spans = spans_from_labels(labels[:len(tokens)], space)
+    targets = [(s.start, s.end, s.polarity) for s in spans
+               if s.kind == KIND_TARGET]
+    funcs = [(s.start, s.end, s.polarity) for s in spans
+             if s.kind == KIND_FUNCWORD]
 
     tuples = []
     used_funcs = set()
@@ -303,7 +293,8 @@ def decode_tuples(labels, tokens, product_id: str, space: LabelSpace):
 # ---------------------------------------------------------------------------
 # checkpoint serialization (little-endian float64 blobs + JSON manifest)
 
-MANIFEST_KEYS = {"config", "labels", "vocab_hash", "vocab_tokens", "params"}
+MANIFEST_KEYS = {"config", "labels", "vocab_hash", "vocab_tokens", "extra",
+                 "params"}
 
 
 def save_checkpoint(path, model: Model, vocab: Vocab, extra: dict | None = None):
@@ -356,9 +347,8 @@ def load_checkpoint(path):
         if not isinstance(manifest, dict):
             raise ConfigError(f"{path} has a manifest that is not a JSON object")
         if manifest.get("format_version") != 1:
-            raise ConfigError(
-                f"unsupported checkpoint format {manifest.get('format_version')}"
-            )
+            raise ConfigError(f"{path} has unsupported checkpoint format "
+                              f"{manifest.get('format_version')}")
         missing = sorted(MANIFEST_KEYS - manifest.keys())
         if missing:
             raise ConfigError(f"{path} manifest lacks {missing}")
@@ -370,26 +360,34 @@ def load_checkpoint(path):
             raise ConfigError(
                 f"{path} labels {manifest['labels']} do not match the "
                 f"{cfg.task} label space {list(cfg.space.labels)}")
-        tokens = manifest["vocab_tokens"]
+        tokens, declared = manifest["vocab_tokens"], manifest["params"]
+        if not (isinstance(tokens, list) and isinstance(manifest["extra"], dict)
+                and isinstance(declared, list)
+                and all(isinstance(d, dict) and isinstance(d.get("name"), str)
+                        and isinstance(d.get("shape"), list) for d in declared)):
+            raise ConfigError(
+                f"{path} manifest needs vocab_tokens and params lists, an "
+                f"extra object, and a name and shape list in each params entry")
         vocab = Vocab(tokens[2:])
         if vocab.sha256() != manifest["vocab_hash"]:
-            raise ConfigError("checkpoint vocabulary hash does not match its tokens")
+            raise ConfigError(
+                f"{path} vocabulary hash does not match its tokens")
         model = Model(cfg, vocab.size)
         params = model.params()
-        declared = manifest["params"]
         if [d["name"] for d in declared] != list(params.keys()):
-            raise ConfigError("checkpoint parameter inventory does not match model")
+            raise ConfigError(
+                f"{path} parameter inventory does not match the model")
         for d in declared:
             p = params[d["name"]]
             if tuple(d["shape"]) != p.shape:
                 raise ConfigError(
-                    f"checkpoint shape {d['shape']} for {d['name']} does not "
+                    f"{path} shape {d['shape']} for {d['name']} does not "
                     f"match model shape {list(p.shape)}"
                 )
             n = int(np.prod(d["shape"])) if d["shape"] else 1
             buf = fh.read(8 * n)
             if len(buf) != 8 * n:
-                raise ConfigError(f"checkpoint truncated at {d['name']}")
+                raise ConfigError(f"{path} is truncated at {d['name']}")
             p.data[...] = np.frombuffer(buf, dtype="<f8").reshape(p.shape)
         if fh.read(1):
             raise ConfigError(f"{path} has bytes after its last parameter")

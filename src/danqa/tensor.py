@@ -71,9 +71,6 @@ class Tensor:
             raise ContractError(f"item() needs a scalar, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def is_leaf(self) -> bool:
-        return not self._parents
-
     def backward(self):
         """Accumulate d(self)/d(leaf) into every reachable requires_grad leaf."""
         if self.data.size != 1:
@@ -386,7 +383,7 @@ def gather_cols(table: Tensor, idx: np.ndarray) -> Tensor:
     if table.data.ndim != 2 or idx.ndim != 1:
         raise ShapeError(f"gather_cols needs a (d,V) table and flat indices, "
                          f"got {table.shape} and {idx.shape}")
-    if not table.is_leaf():
+    if table._parents:
         raise ContractError("gather_cols table must be a leaf parameter")
 
     def backward(g):

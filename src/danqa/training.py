@@ -23,7 +23,6 @@ class TrainConfig:
     patience: int = 5
     seed: int = 0
     lr: float = 0.001
-    grad_clip: float | None = None
     stop_at_token_acc: float | None = None
 
     def __post_init__(self):
@@ -31,16 +30,17 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Bias-corrected Adam over a named parameter map (sorted iteration)."""
 
-    def __init__(self, params: dict, lr: float = 0.001, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict, lr: float = 0.001):
         self.params = dict(sorted(params.items()))
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -48,19 +48,19 @@ class Adam:
     def step(self):
         """Apply one update from the accumulated gradients, then zero them."""
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - ADAM_BETA1 ** self.t
+        c2 = 1.0 - ADAM_BETA2 ** self.t
         for name, p in self.params.items():
             if name not in self.m:
                 raise ContractError(f"no moment buffers for parameter {name}")
             g = p.grad
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
             p.zero_grad()
 
 
@@ -77,10 +77,10 @@ def batch_loss(model: Model, batch, training: bool = True, rng=None):
     return tc.cross_entropy(probs, tc.constant(onehot), tc.constant(mask))
 
 
-def evaluate_dataset(model: Model, examples, batch_size: int = 256) -> dict:
+def evaluate_dataset(model: Model, examples) -> dict:
     """Span metrics plus non-PAD token accuracy on encoded examples."""
     space = model.cfg.space
-    pred_rows = predict_label_batches(model, examples, batch_size=batch_size)
+    pred_rows = predict_label_batches(model, examples, batch_size=256)
     pred_spans, gold_spans = [], []
     hits = total = 0
     for row, ex in zip(pred_rows, examples):
@@ -107,14 +107,6 @@ def _snapshot(model: Model) -> dict:
 def _restore(model: Model, state: dict):
     for k, p in model.params().items():
         p.data[...] = state[k]
-
-
-def _clip_gradients(params: dict, max_norm: float):
-    total = math.sqrt(sum(float((p.grad ** 2).sum()) for p in params.values()))
-    if total > max_norm and total > 0:
-        scale = max_norm / total
-        for p in params.values():
-            p.grad *= scale
 
 
 def fit(model: Model, train, valid, tcfg: TrainConfig):
@@ -149,8 +141,6 @@ def fit(model: Model, train, valid, tcfg: TrainConfig):
                     f"parameter norms: {norms}"
                 )
             loss.backward()
-            if tcfg.grad_clip is not None:
-                _clip_gradients(params, tcfg.grad_clip)
             adam.step()
             epoch_loss += value
 

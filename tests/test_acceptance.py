@@ -252,7 +252,7 @@ def test_converged_model_labels_fixture_question():
                    ["yes", ",", "it", "is"], None, "satisf")
     ex = encode(probe, vocab, cfg)
     probs = model.forward_batch([ex]).data
-    got = [SATISF.label(i) for i in predict_labels(probs, ex.q_mask)[:4]]
+    got = [SATISF.labels[i] for i in predict_labels(probs, ex.q_mask)[:4]]
     assert got == ["F-S", "F-S", "S", "O"]
     tuples = decode_tuples(got, probe.question_tokens, "p1", SATISF)
     assert tuples[0].target_text == "iphone"

@@ -71,10 +71,16 @@ class TestSynth:
         for pol, want in ((1, 0.5), (2, 0.3), (3, 0.2)):
             assert abs(counts[pol] / 1000 - want) <= 0.03
 
-    def test_bad_mix_is_usage_error(self, tmp_path):
+    @pytest.mark.parametrize("mix", ["0.5,0.4,0.2", "nan,0.5,0.5",
+                                     "-0.5,1.0,0.5"],
+                             ids=["sum_above_one", "nan_weight",
+                                  "negative_weight"])
+    def test_bad_mix_is_usage_error(self, tmp_path, capsys, mix):
         code = run("synth", "--n", "5", "--task", "compat",
-                   "--mix", "0.5,0.4,0.2", "--out", str(tmp_path / "x"))
+                   f"--mix={mix}", "--out", str(tmp_path / "x"))
         assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert mix in err and len(err.splitlines()) == 1
 
 
 class TestTrain:
@@ -132,17 +138,6 @@ class TestEval:
         for key in ("avg_f1", "extraction_f1", "polarity_acc", "per_class"):
             assert key in data
         assert data["method"] == "dan"
-
-    def test_labels_as_predictions_is_perfect(self, tiny_run, tmp_path):
-        report = tmp_path / "report.json"
-        assert run("eval", "--checkpoint", str(tiny_run["checkpoint"]),
-                   "--corpus", str(tiny_run["corpus"]), "--split", "all",
-                   "--labels-as-predictions",
-                   "--report-out", str(report)) == 0
-        data = json.loads(report.read_text())
-        assert data["avg_f1"] == 1.0
-        assert data["extraction_f1"] == 1.0
-        assert data["polarity_acc"] == 1.0
 
     def test_missing_checkpoint_is_one_line_usage_error(self, tiny_run,
                                                         tmp_path, capsys):
@@ -248,6 +243,15 @@ class TestGradcheckCommand:
         assert report["ok"] is True
         assert set(report["results"]) == {"dan", "dan-no-ans-attn",
                                           "qa-s-blstm", "qa-coattention"}
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_no_elements_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                        count):
+        monkeypatch.chdir(tmp_path)
+        assert run("gradcheck", "--max-elements", count) == 1
+        err = capsys.readouterr().err.strip()
+        assert "--max-elements" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "gradcheck_report.json").exists()
 
     def test_corrupted_backward_detected(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -225,8 +225,10 @@ class TestSynth:
         assert a == b
 
     def test_bad_mix_rejected(self):
-        with pytest.raises(ConfigError):
-            synth_generate(5, "compat", seed=0, polarity_mix=(0.5, 0.4, 0.2))
+        for mix in ((0.5, 0.4, 0.2), (float("nan"), 0.5, 0.5),
+                    (-0.5, 1.0, 0.5)):
+            with pytest.raises(ConfigError):
+                synth_generate(5, "compat", seed=0, polarity_mix=mix)
 
     def test_generator_decoder_roundtrip(self):
         for task in ("compat", "satisf"):

@@ -27,14 +27,14 @@ class TestLoadVectors:
         path = tmp_path / "v.txt"
         write_vectors(path, [("cat", [1, 2, 3]), ("dog", [4, 5, 6])])
         vectors = load_vectors(path, 3)
-        assert len(vectors) == 2
+        assert len(vectors.words) == 2
         np.testing.assert_array_equal(vectors.words["cat"], [1, 2, 3])
 
     def test_header_consumed(self, tmp_path):
         path = tmp_path / "v.txt"
         write_vectors(path, [("cat", [1, 2, 3]), ("dog", [4, 5, 6])],
                       header="2 3")
-        assert len(load_vectors(path, 3)) == 2
+        assert len(load_vectors(path, 3).words) == 2
 
     def test_wrong_component_count_reports_line(self, tmp_path):
         path = tmp_path / "v.txt"

@@ -1,10 +1,11 @@
-"""Evaluation protocol: span matching, polarity voting, task scores."""
+"""Evaluation protocol: span matching, task scores."""
 
 import numpy as np
+import pytest
 
 from danqa.labels import COMPAT, SATISF, KIND_FUNCWORD, KIND_TARGET
-from danqa.metrics import (SpanPred, match_targets, polarity_of_extraction,
-                           render_table, score_for_task, spans_from_labels)
+from danqa.metrics import (SpanPred, match_targets, render_table,
+                           score_for_task, spans_from_labels)
 from util import reference_score
 
 
@@ -74,22 +75,12 @@ class TestMatchTargets:
         assert set(matches) == {(1, 0, 1.0), (0, 1, 1.0)}
 
 
-class TestPolarityVote:
-    def test_majority(self):
-        assert polarity_of_extraction(["C", "C", "I"], COMPAT) == 1
-
-    def test_tie_prefers_lower_class(self):
-        assert polarity_of_extraction(["C", "I"], COMPAT) == 1
-        assert polarity_of_extraction(["I", "U"], COMPAT) == 2
-
-    def test_single_token(self):
-        assert polarity_of_extraction(["U"], COMPAT) == 3
-
-
 class TestScoreCompat:
-    def test_perfect_agreement(self):
-        golds = [[target(1, 3, 1)], [target(0, 2, 2), target(5, 6, 3)]]
-        rep = score_for_task("compat", golds, golds)
+    @pytest.mark.parametrize("task", ["compat", "satisf"])
+    def test_perfect_agreement(self, task):
+        golds = [[target(1, 3, 1)], [target(0, 2, 2), target(5, 6, 3)],
+                 [funcword(0, 2, 1), target(2, 3, 1)]]
+        rep = score_for_task(task, golds, golds)
         assert rep.avg_f1 == 1.0
         assert rep.extraction_f1 == 1.0
         assert rep.polarity_acc == 1.0

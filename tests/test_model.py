@@ -8,14 +8,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from danqa import layers, tensor as tc
 from danqa.corpus import build_vocab, encode, synth_generate
 from danqa.errors import ConfigError, ContractError
 from danqa.labels import COMPAT, SATISF
 from danqa.metrics import spans_from_labels
-from danqa.model import (CHECKPOINT_MAGIC, Model, ModelConfig, decode_tuples,
-                         load_checkpoint, predict_labels, save_checkpoint)
+from danqa.model import (CHECKPOINT_MAGIC, VARIANTS, Model, ModelConfig,
+                         decode_tuples, load_checkpoint, predict_labels,
+                         save_checkpoint)
 
 
 def micro_cfg(variant="dan", task="compat", seed=0, **kw):
@@ -62,7 +64,10 @@ def blstm_call(calls, name):
 
 MALFORMED_CHECKPOINTS = ("cut_in_manifest_length", "non_json_manifest",
                          "non_object_manifest", "missing_manifest_key",
-                         "unknown_config_key", "labels_of_another_task")
+                         "unknown_config_key", "labels_of_another_task",
+                         "param_without_name", "vocab_tokens_not_a_list",
+                         "params_not_a_list", "shape_not_a_list",
+                         "extra_not_an_object")
 
 
 def spoil_checkpoint(path, how):
@@ -81,6 +86,16 @@ def spoil_checkpoint(path, how):
         manifest["config"]["colour"] = "red"
     elif how == "labels_of_another_task":
         manifest["labels"] = list(SATISF.labels)
+    elif how == "param_without_name":
+        del manifest["params"][0]["name"]
+    elif how == "vocab_tokens_not_a_list":
+        manifest["vocab_tokens"] = 5
+    elif how == "params_not_a_list":
+        manifest["params"] = 5
+    elif how == "shape_not_a_list":
+        manifest["params"][0]["shape"] = 5
+    elif how == "extra_not_an_object":
+        manifest["extra"] = [1]
     doctored = text.get(how, json.dumps(manifest).encode())
     path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(doctored))
                      + doctored + blob[head + 4 + mlen:])
@@ -197,6 +212,25 @@ class TestForward:
         model = Model(cfg, vocab.size)
         with pytest.raises(ContractError):
             model.forward_batch([bad])
+
+    @settings(max_examples=40, deadline=None)
+    @given(variant=st.sampled_from(VARIANTS),
+           task=st.sampled_from(("compat", "satisf")),
+           seed=st.integers(0, 2 ** 16), size=st.integers(1, 6),
+           order=st.permutations(range(6)))
+    def test_rows_do_not_depend_on_batch_peers(self, variant, task, seed,
+                                               size, order):
+        """Each example's rows are those of running it alone, whatever its
+        batch peers and its place among them."""
+        cfg, vocab, examples = micro_setup(variant, task, seed, n=6)
+        model = Model(cfg, vocab.size)
+        batch = [examples[i] for i in order[:size]]
+        with tc.no_grad():
+            together = model.forward_batch(batch).data.reshape(
+                size, cfg.t_q, -1)
+            for ex, rows in zip(batch, together, strict=True):
+                np.testing.assert_allclose(rows, probs_of(model, ex),
+                                           rtol=0, atol=1e-12)
 
     def test_never_produces_non_finite(self):
         for seed in range(5):
