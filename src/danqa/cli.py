@@ -20,7 +20,7 @@ from .corpus import build_vocab, encode, load_corpus, save_corpus, split, synth_
 from .embeddings import init_table, load_vectors
 from .errors import (ConfigError, ContractError, DomainError, NumericError,
                      ShapeError, UsageError, ValidationError, VocabError)
-from .metrics import render_table
+from .metrics import TABLE_HEADERS, render_table
 from .model import (Model, ModelConfig, decode_tuples, load_checkpoint,
                     predict_label_batches, save_checkpoint)
 from .training import TrainConfig, evaluate_dataset, fit
@@ -100,7 +100,17 @@ def _load_task_corpus(path, task: str):
     return pairs
 
 
+def _check_train_flags(args):
+    # the chained comparison is False for NaN too
+    if not 0.0 < args.lr < float("inf"):
+        raise UsageError(f"--lr must be a finite number > 0, got {args.lr}")
+    for flag, value in (("--epochs", args.epochs), ("--patience", args.patience)):
+        if value < 1:
+            raise UsageError(f"{flag} must be >= 1, got {value}")
+
+
 def cmd_train(args) -> int:
+    _check_train_flags(args)
     dims = _resolve_model_dims(args)
     pairs = _load_task_corpus(args.corpus, args.task)
     train_pairs, valid_pairs, test_pairs = split(pairs, args.seed)
@@ -145,8 +155,15 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _eval_one(ckpt_path, corpus_path, which_split: str):
-    model, vocab, manifest = load_checkpoint(ckpt_path)
+def _single_task(tasks, what: str) -> str:
+    """The one task that ``tasks`` share; a mix is a usage error."""
+    distinct = sorted(set(tasks))
+    if len(distinct) > 1:
+        raise UsageError(f"{what} mix tasks {distinct}; use them separately")
+    return distinct[0]
+
+
+def _eval_one(model, vocab, manifest, corpus_path, which_split: str):
     cfg = model.cfg
     pairs = _load_task_corpus(corpus_path, cfg.task)
     train_pairs, _, test_pairs = split(pairs, cfg.seed)
@@ -167,15 +184,10 @@ def _eval_one(ckpt_path, corpus_path, which_split: str):
 
 
 def cmd_eval(args) -> int:
-    rows = []
-    task = None
-    for ckpt in args.checkpoint:
-        row = _eval_one(ckpt, args.corpus, args.split)
-        if task is None:
-            task = row["task"]
-        elif task != row["task"]:
-            raise UsageError("checkpoints mix tasks; evaluate them separately")
-        rows.append(row)
+    loaded = [load_checkpoint(ckpt) for ckpt in args.checkpoint]
+    task = _single_task([model.cfg.task for model, _, _ in loaded],
+                        "checkpoints")
+    rows = [_eval_one(*ckpt, args.corpus, args.split) for ckpt in loaded]
     table = render_table(task, [(r["method"], r) for r in rows])
     print(table)
     if args.report_out:
@@ -237,18 +249,31 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    rows = []
-    task = None
-    for path in args.reports:
+def _report_rows(path) -> list:
+    """The rows of one saved eval report, one report or a ``rows`` list."""
+    metrics = ("avg_f1", "extraction_f1", "polarity_acc")
+    try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-        for row in data["rows"] if "rows" in data else [data]:
-            if task is None:
-                task = row["task"]
-            rows.append((row["method"], row))
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValidationError(f"{path} is not an eval report: {exc}") from None
+    rows = data.get("rows", [data]) if isinstance(data, dict) else None
+    if not isinstance(rows, list) or not all(
+            isinstance(r, dict) and isinstance(r.get("method"), str)
+            and r.get("task") in tuple(TABLE_HEADERS)
+            and all(type(r.get(k)) in (int, float) for k in metrics)
+            for r in rows):
+        raise ValidationError(
+            f"{path} is not an eval report: each row needs a method, a task "
+            f"in {sorted(TABLE_HEADERS)} and numeric {', '.join(metrics)}")
+    return rows
+
+
+def cmd_report(args) -> int:
+    rows = [row for path in args.reports for row in _report_rows(path)]
     if not rows:
         raise UsageError("no report rows found")
-    print(render_table(task, rows))
+    task = _single_task([row["task"] for row in rows], "reports")
+    print(render_table(task, [(row["method"], row) for row in rows]))
     return 0
 
 

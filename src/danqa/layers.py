@@ -1,8 +1,8 @@
 """Reusable network layers: embeddings, BLSTMs, attention, dense head.
 
-The recurrences consume and return lists of per-timestep ``(B, d)``
-tensors, vectorized over the batch; attention takes whole ``(B, T, d)``
-sequences.
+A BLSTM consumes and returns lists of per-timestep ``(B, d)`` tensors,
+vectorized over the batch; each direction records one ``tc.lstm_cell``
+op per step. Attention takes whole ``(B, T, d)`` sequences.
 """
 
 from __future__ import annotations
@@ -61,9 +61,11 @@ class EmbeddingTable:
 class LSTMDirection:
     """Parameters of a single-direction LSTM with fused gate weights.
 
-    Gate order in the fused matrices is [input | forget | output |
-    candidate], as ``tc.lstm_cell`` reads it; the forget-gate bias block
-    starts at 1.0.
+    ``wx`` is (4H, input_dim), ``wh`` (4H, H) and ``b`` (4H,), with the
+    gate blocks in the order [input | forget | output | candidate] that
+    ``tc.lstm_cell`` reads; the forget-gate bias block starts at 1.0. The
+    recurrent state is one (B, 2H) tensor [h | c], zero before the first
+    step.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, rng):
@@ -76,19 +78,15 @@ class LSTMDirection:
         self.b = Tensor(bias, requires_grad=True)
 
     def run(self, xs):
-        """Consume per-timestep (B, input_dim) tensors, return hidden states."""
+        """Consume per-timestep (B, input_dim) tensors in order; return the
+        (B, 2H) state [h | c] after each step, one ``lstm_cell`` op each."""
         if not xs:
             raise ShapeError("LSTM needs at least one timestep")
-        batch = xs[0].shape[0]
-        h = tc.constant(np.zeros((batch, self.hidden_dim)))
-        c = tc.constant(np.zeros((batch, self.hidden_dim)))
+        hc = tc.constant(np.zeros((xs[0].shape[0], 2 * self.hidden_dim)))
         states = []
         for x in xs:
-            z = tc.affine2(x, h, self.wx, self.wh, self.b)
-            hc = tc.lstm_cell(z, c)
-            h = tc.slice_cols(hc, 0, self.hidden_dim)
-            c = tc.slice_cols(hc, self.hidden_dim, 2 * self.hidden_dim)
-            states.append(h)
+            hc = tc.lstm_cell(x, hc, self.wx, self.wh, self.b)
+            states.append(hc)
         return states
 
 
@@ -103,17 +101,20 @@ class BLSTMLayer:
         self.fw = LSTMDirection(input_dim, output_dim // 2, rng)
         self.bw = LSTMDirection(input_dim, output_dim // 2, rng)
 
+    def _join(self, fw_state: Tensor, bw_state: Tensor) -> Tensor:
+        half = self.output_dim // 2
+        return tc.concat(tc.slice_cols(fw_state, 0, half),
+                         tc.slice_cols(bw_state, 0, half), axis=1)
+
     def seq(self, xs):
-        """Per-timestep outputs: [fwd_state_t | bwd_state_t] for each t."""
+        """Per-timestep outputs: [fwd h_t | bwd h_t] for each t."""
         fwd = self.fw.run(xs)
         bwd = self.bw.run(xs[::-1])[::-1]
-        return [tc.concat(f, b, axis=1) for f, b in zip(fwd, bwd)]
+        return [self._join(f, b) for f, b in zip(fwd, bwd)]
 
     def pool(self, xs) -> Tensor:
-        """Whole-sequence vector: last forward state with first backward state."""
-        fwd = self.fw.run(xs)
-        bwd = self.bw.run(xs[::-1])
-        return tc.concat(fwd[-1], bwd[-1], axis=1)
+        """Whole-sequence vector: last forward h with first backward h."""
+        return self._join(self.fw.run(xs)[-1], self.bw.run(xs[::-1])[-1])
 
     def params(self, prefix: str) -> dict:
         out = {}

@@ -317,60 +317,44 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _wrap(x.data @ w.data.T + b.data, (x, w, b), backward)
 
 
-def affine2(x: Tensor, h: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
-    """x @ wx.T + h @ wh.T + b, the fused pre-activation of a recurrent cell."""
-    xs, hs = x.data.shape, h.data.shape
-    if xs[0] != hs[0]:
-        raise ShapeError(f"affine2 batch mismatch: {xs} vs {hs}")
-    if xs[1] != wx.data.shape[1] or hs[1] != wh.data.shape[1]:
-        raise ShapeError(
-            f"affine2 feature mismatch: x {x.shape} Wx {wx.shape}, "
-            f"h {h.shape} Wh {wh.shape}"
-        )
+def lstm_cell(x: Tensor, hc: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
+    """One LSTM step: input ``x`` (B, D) and state ``hc`` = [h | c] (B, 2H).
 
-    def backward(g):
-        return (g @ wx.data, g @ wh.data, g.T @ x.data, g.T @ h.data,
-                g.sum(axis=0))
-
-    return _wrap(x.data @ wx.data.T + h.data @ wh.data.T + b.data,
-                 (x, h, wx, wh, b), backward)
-
-
-def lstm_cell(z: Tensor, c_prev: Tensor) -> Tensor:
-    """One LSTM cell update from fused gate pre-activations.
-
-    ``z`` holds the four gate pre-activations [input | forget | output |
-    candidate] of width 4H (the three sigmoid gates share one exp call);
-    the result is the concatenation [h' | c'] of the new hidden state and
-    memory cell, each of width H.
+    The gate pre-activations ``x @ wx.T + h @ wh.T + b`` have width 4H in
+    the order [input | forget | output | candidate] (the three sigmoid
+    gates share one exp call); ``wx`` is (4H, D), ``wh`` (4H, H) and ``b``
+    (4H,). The result is the next state [h' | c'], again (B, 2H).
     """
-    cs = c_prev.data.shape
-    hdim = cs[1]
-    if z.data.ndim != 2 or z.data.shape != (cs[0], 4 * hdim):
-        raise ShapeError(f"lstm_cell needs z (B,4H) for c (B,H): "
-                         f"{z.data.shape} vs {cs}")
-    gates = 1.0 / (1.0 + np.exp(-z.data[:, :3 * hdim]))
-    i = gates[:, :hdim]
-    f = gates[:, hdim:2 * hdim]
-    o = gates[:, 2 * hdim:]
-    g_ = np.tanh(z.data[:, 3 * hdim:])
-    c = f * c_prev.data + i * g_
+    hdim = hc.shape[-1] // 2
+    if (x.data.ndim != 2 or hc.shape != (x.shape[0], 2 * hdim)
+            or wx.shape != (4 * hdim, x.shape[1]) or wh.shape != (4 * hdim, hdim)
+            or b.shape != (4 * hdim,)):
+        raise ShapeError(f"lstm_cell shapes incompatible: x {x.shape}, "
+                         f"[h|c] {hc.shape}, Wx {wx.shape}, Wh {wh.shape}, "
+                         f"b {b.shape}")
+    h_prev, c_prev = hc.data[:, :hdim], hc.data[:, hdim:]
+    z = x.data @ wx.data.T + h_prev @ wh.data.T + b.data
+    gates = 1.0 / (1.0 + np.exp(-z[:, :3 * hdim]))
+    i, f, o = gates[:, :hdim], gates[:, hdim:2 * hdim], gates[:, 2 * hdim:]
+    g_ = np.tanh(z[:, 3 * hdim:])
+    c = f * c_prev + i * g_
     th = np.tanh(c)
-    out = np.empty((cs[0], 2 * hdim))
+    out = np.empty(hc.shape)
     np.multiply(o, th, out=out[:, :hdim])
     out[:, hdim:] = c
 
     def backward(g):
         gh = g[:, :hdim]
         gc = g[:, hdim:] + gh * o * (1.0 - th * th)
-        gz = np.empty_like(z.data)
+        gz = np.empty((len(g), 4 * hdim))  # the pre-activations are not kept
         gz[:, :hdim] = gc * g_ * i * (1.0 - i)
-        gz[:, hdim:2 * hdim] = gc * c_prev.data * f * (1.0 - f)
+        gz[:, hdim:2 * hdim] = gc * c_prev * f * (1.0 - f)
         gz[:, 2 * hdim:3 * hdim] = gh * th * o * (1.0 - o)
         gz[:, 3 * hdim:] = gc * i * (1.0 - g_ * g_)
-        return gz, gc * f
+        ghc = np.concatenate([gz @ wh.data, gc * f], axis=1)
+        return gz @ wx.data, ghc, gz.T @ x.data, gz.T @ h_prev, gz.sum(axis=0)
 
-    return _wrap(out, (z, c_prev), backward)
+    return _wrap(out, (x, hc, wx, wh, b), backward)
 
 
 def gather_cols(table: Tensor, idx: np.ndarray) -> Tensor:

@@ -94,16 +94,22 @@ class TestTrain:
         assert PRESETS["full"] == {"d_e": 300, "blstm_dim": 128,
                                     "t_q": 82, "t_a": 82}
 
-    def test_zero_epochs_smoke(self, tmp_path):
-        corpus = tmp_path / "c.jsonl"
-        run("synth", "--n", "20", "--task", "compat", "--seed", "4",
-            "--out", str(corpus))
+    @pytest.mark.parametrize("flag,value", [
+        ("--lr", "-0.5"), ("--lr", "0"), ("--lr", "nan"), ("--lr", "inf"),
+        ("--epochs", "0"), ("--patience", "0")],
+        ids=["lr_negative", "lr_zero", "lr_nan", "lr_inf", "epochs_zero",
+             "patience_zero"])
+    def test_bad_training_flag_is_usage_error(self, tmp_path, capsys, flag,
+                                              value):
+        # the corpus does not exist: the flag must be refused before it is read
         out = tmp_path / "run"
-        assert run(*train_args(corpus, out, **{"--epochs": "0"})) == 0
-        model, vocab, manifest = load_checkpoint(out / "best.ckpt")
-        assert manifest["extra"]["best_epoch"] == 0
-        assert (out / "history.jsonl").read_text() == ""
-        assert (out / "run.manifest.json").exists()
+        code = run(*train_args(tmp_path / "missing.jsonl", out,
+                               **{flag: value}))
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("usage error:") and len(err.splitlines()) == 1
+        assert flag in err and value in err
+        assert not out.exists()
 
     def test_baseline_variant_trains(self, tmp_path):
         corpus = tmp_path / "c.jsonl"
@@ -112,9 +118,12 @@ class TestTrain:
         out = tmp_path / "run"
         assert run(*train_args(corpus, out, **{"--epochs": "1",
                                                "--variant": "qa-s-blstm"})) == 0
-        model, _, _ = load_checkpoint(out / "best.ckpt")
+        model, _, manifest = load_checkpoint(out / "best.ckpt")
         assert model.cfg.variant == "qa-s-blstm"
         assert not any(n.startswith("ctx1_qa") for n in model.params())
+        assert manifest["extra"]["best_epoch"] == 1
+        assert len((out / "history.jsonl").read_text().splitlines()) == 1
+        assert (out / "run.manifest.json").exists()
 
     def test_corpus_validation_before_training(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
@@ -155,6 +164,23 @@ class TestEval:
         code = run("eval", "--checkpoint", str(tiny_run["checkpoint"]),
                    "--corpus", str(other))
         assert code == 2
+
+    def test_mixed_task_checkpoints_are_usage_error(self, tiny_run, tmp_path,
+                                                     capsys):
+        corpus = tmp_path / "s.jsonl"
+        run("synth", "--n", "20", "--task", "satisf", "--seed", "8",
+            "--out", str(corpus))
+        assert run(*train_args(corpus, tmp_path / "run", **{
+            "--task": "satisf", "--epochs": "1"})) == 0
+        capsys.readouterr()
+        code = run("eval", "--checkpoint", str(tiny_run["checkpoint"]),
+                   "--checkpoint", str(tmp_path / "run" / "best.ckpt"),
+                   "--corpus", str(tiny_run["corpus"]))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert "mix tasks" in err and len(err.splitlines()) == 1
 
 
 class TestPredict:
@@ -283,6 +309,43 @@ class TestReport:
         out = capsys.readouterr().out
         assert "PCA F1" in out
         assert out.count("dan") >= 2
+
+    @pytest.fixture(scope="class")
+    def compat_report(self, tiny_run, tmp_path_factory):
+        path = tmp_path_factory.mktemp("report") / "compat.json"
+        assert run("eval", "--checkpoint", str(tiny_run["checkpoint"]),
+                   "--corpus", str(tiny_run["corpus"]),
+                   "--report-out", str(path)) == 0
+        return path
+
+    def test_mixed_tasks_are_usage_error(self, compat_report, tmp_path,
+                                         capsys):
+        row = json.loads(compat_report.read_text())
+        satisf = tmp_path / "satisf.json"
+        satisf.write_text(json.dumps(dict(row, task="satisf")))
+        capsys.readouterr()
+        assert run("report", str(compat_report), str(satisf)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert "mix tasks" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("content", [
+        "not json {", "[1, 2]", '{"rows": 5}',
+        '{"method": "dan", "avg_f1": 0.5, "extraction_f1": 0.5, '
+        '"polarity_acc": 0.5}',
+        '{"method": "dan", "task": "compat", "avg_f1": "high", '
+        '"extraction_f1": 0.5, "polarity_acc": 0.5}'],
+        ids=["not_json", "list", "rows_not_list", "row_without_task",
+             "text_metric"])
+    def test_non_report_is_validation_error(self, compat_report, tmp_path,
+                                            capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        capsys.readouterr()
+        assert run("report", str(compat_report), str(bad)) == 2
+        err = capsys.readouterr().err.strip()
+        assert str(bad) in err and len(err.splitlines()) == 1
 
     def test_unknown_flag_is_usage_error(self):
         assert run("eval", "--nonsense") == 1

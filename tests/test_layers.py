@@ -27,6 +27,13 @@ def seq_matrix(layer, x):
     return np.concatenate([h.data for h in layer.seq(as_steps(x))])
 
 
+def tensors_made(fn):
+    """How many tensors ``fn()`` creates, read off the creation counter."""
+    start = next(tc._seq)
+    fn()
+    return next(tc._seq) - start - 1
+
+
 def attention(src, story, mask=None):
     """Attend every (T, d) ``src`` row over a (S, d) story in one
     ``attend_step`` call; (context, weights) as (T, d) and (T, S) arrays."""
@@ -123,6 +130,17 @@ class TestBLSTM:
             layer = BLSTMLayer(3, 6, rng)
             out = seq_matrix(layer, 5.0 * rng.standard_normal((10, 3)))
             assert np.all(np.abs(out) < 1.0)
+
+    @pytest.mark.parametrize("t_len", [1, 4, 9])
+    def test_one_op_per_direction_step(self, t_len):
+        # one zero state and one lstm_cell per step in each direction;
+        # seq adds two h slices and a concat per step, pool three in all
+        rng = np.random.default_rng(t_len)
+        layer = BLSTMLayer(3, 4, rng)
+        xs = as_steps(rng.standard_normal((t_len, 3)))
+        assert tensors_made(lambda: layer.fw.run(xs)) == t_len + 1
+        assert tensors_made(lambda: layer.seq(xs)) == 5 * t_len + 2
+        assert tensors_made(lambda: layer.pool(xs)) == 2 * t_len + 5
 
     def test_odd_output_dim_rejected(self):
         with pytest.raises(ShapeError):

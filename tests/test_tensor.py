@@ -2,10 +2,34 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from danqa import tensor as tc
 from danqa.errors import ContractError, DomainError, ShapeError
 from util import fd_gradient, max_rel_err
+
+
+def gate_step(x, hc, wx=None, wh=None, b=None):
+    """``lstm_cell`` over tensors or arrays; the weights default to an
+    identity input map with no recurrence or bias, so ``x`` is the gate
+    pre-activation."""
+    hdim = np.shape(hc.data if isinstance(hc, tc.Tensor) else hc)[1] // 2
+    wx = np.eye(4 * hdim) if wx is None else wx
+    wh = np.zeros((4 * hdim, hdim)) if wh is None else wh
+    b = np.zeros(4 * hdim) if b is None else b
+    return tc.lstm_cell(*(t if isinstance(t, tc.Tensor) else tc.constant(t)
+                          for t in (x, hc, wx, wh, b)))
+
+
+def reference_step(x, hc, wx, wh, b):
+    """Separate affine pre-activation, then the textbook gate formulas."""
+    hdim = wh.shape[1]
+    h, c = hc[:, :hdim], hc[:, hdim:]
+    z = x @ wx.T + h @ wh.T + b
+    sig = lambda v: 1.0 / (1.0 + np.exp(-v))
+    i, f, o = (sig(z[:, k * hdim:(k + 1) * hdim]) for k in range(3))
+    c_new = f * c + i * np.tanh(z[:, 3 * hdim:])
+    return np.concatenate([o * np.tanh(c_new), c_new], axis=1)
 
 
 class TestMatmul:
@@ -117,14 +141,12 @@ class TestPointwise:
 
     def test_sigmoid_zero(self):
         # z = 0 opens every sigmoid gate half way: c' = 0.5 * c_prev
-        hc = tc.lstm_cell(tc.constant(np.zeros((1, 4))),
-                          tc.constant(np.ones((1, 1))))
+        hc = gate_step(np.zeros((1, 4)), [[0.0, 1.0]])
         assert hc.data[0, 1] == 0.5
 
     def test_tanh_zero(self):
         # zero pre-activations and cell give a zero candidate, cell and state
-        hc = tc.lstm_cell(tc.constant(np.zeros((1, 4))),
-                          tc.constant(np.zeros((1, 1))))
+        hc = gate_step(np.zeros((1, 4)), np.zeros((1, 2)))
         np.testing.assert_array_equal(hc.data, [[0.0, 0.0]])
 
     def test_binary_shape_mismatch(self):
@@ -241,7 +263,7 @@ class TestBackward:
             a = tc.parameter(rng.standard_normal((1, 5, 5)))
             b = tc.parameter(rng.standard_normal((1, 5, 20)))
             z = tc.reshape(tc.bmm(a, b), (5, 20))
-            h = tc.lstm_cell(z, tc.constant(np.zeros((5, 5))))
+            h = gate_step(z, np.zeros((5, 10)))
             out = tc.softmax_rows(tc.concat(h, tc.mul(h, h), axis=1))
             tc.tensor_sum(out).backward()
             return a.grad.copy(), b.grad.copy()
@@ -253,35 +275,62 @@ class TestBackward:
 
 
 class TestFusedOps:
-    def test_affine2_matches_finite_differences(self):
+    def test_lstm_cell_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         x = tc.parameter(rng.standard_normal((3, 4)))
-        h = tc.parameter(rng.standard_normal((3, 2)))
+        hc = tc.parameter(rng.standard_normal((3, 4)))
         wx = tc.parameter(rng.standard_normal((8, 4)))
         wh = tc.parameter(rng.standard_normal((8, 2)))
         b = tc.parameter(rng.standard_normal(8))
-        v = tc.constant(rng.standard_normal((3, 8)))
-        tc.tensor_sum(tc.mul(tc.affine2(x, h, wx, wh, b), v)).backward()
+        v = tc.constant(rng.standard_normal((3, 4)))
+        tc.tensor_sum(tc.mul(tc.lstm_cell(x, hc, wx, wh, b), v)).backward()
 
         def loss():
-            return tc.tensor_sum(tc.mul(tc.affine2(x, h, wx, wh, b), v)).item()
+            return tc.tensor_sum(
+                tc.mul(tc.lstm_cell(x, hc, wx, wh, b), v)).item()
 
-        for t in (x, h, wx, wh, b):
+        for t in (x, hc, wx, wh, b):
             assert max_rel_err(t.grad, fd_gradient(loss, t.data)) <= 1e-5
 
     def test_lstm_cell_gradients(self):
         rng = np.random.default_rng(9)
         z = tc.parameter(rng.standard_normal((3, 8)))
-        c = tc.parameter(rng.standard_normal((3, 2)))
+        hc = tc.parameter(np.concatenate(
+            [np.zeros((3, 2)), rng.standard_normal((3, 2))], axis=1))
         w = tc.constant(rng.standard_normal((3, 4)))
 
         def build():
-            return tc.tensor_sum(tc.mul(tc.lstm_cell(z, c), w))
+            return tc.tensor_sum(tc.mul(gate_step(z, hc), w))
 
         build().backward()
-        for t in (z, c):
+        for t in (z, hc):
             assert max_rel_err(t.grad, fd_gradient(lambda: build().item(),
                                                    t.data)) <= 1e-5
+
+    def test_lstm_cell_shape_error_names_the_shapes(self):
+        x, hc = tc.constant(np.zeros((3, 4))), tc.constant(np.zeros((3, 4)))
+        wx, b = tc.constant(np.zeros((8, 4))), tc.constant(np.zeros(8))
+        with pytest.raises(ShapeError, match=r"\(3, 4\).*Wh \(8, 3\)"):
+            tc.lstm_cell(x, hc, wx, tc.constant(np.zeros((8, 3))), b)
+        with pytest.raises(ShapeError, match=r"x \(2, 4\), \[h\|c\] \(3, 4\)"):
+            tc.lstm_cell(tc.constant(np.zeros((2, 4))), hc, wx,
+                         tc.constant(np.zeros((8, 2))), b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(batch=st.integers(1, 4), d_in=st.integers(1, 5),
+           hdim=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([0.1, 1.0, 3.0]))
+    def test_lstm_cell_matches_reference_step(self, batch, d_in, hdim, seed,
+                                              scale):
+        rng = np.random.default_rng(seed)
+        x = scale * rng.standard_normal((batch, d_in))
+        hc = scale * rng.standard_normal((batch, 2 * hdim))
+        wx = scale * rng.standard_normal((4 * hdim, d_in))
+        wh = scale * rng.standard_normal((4 * hdim, hdim))
+        b = scale * rng.standard_normal(4 * hdim)
+        got = gate_step(x, hc, wx, wh, b).data
+        np.testing.assert_allclose(got, reference_step(x, hc, wx, wh, b),
+                                   rtol=0, atol=1e-12)
 
     def test_gather_cols_scatter_adds(self):
         table = tc.parameter(np.arange(12, dtype=float).reshape(3, 4))
@@ -303,7 +352,7 @@ def test_every_op_gradient_over_twenty_seeds():
 
         def build():
             m = tc.reshape(tc.bmm(x, y), (3, 12))
-            s = tc.softmax_rows(tc.lstm_cell(m, tc.constant(np.ones((3, 3)))))
+            s = tc.softmax_rows(gate_step(m, np.ones((3, 6))))
             return tc.tensor_sum(tc.mul(s, w))
 
         build().backward()
