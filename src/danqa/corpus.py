@@ -287,10 +287,14 @@ def synth_generate(n: int, task: str, seed: int, polarity_mix=(0.5, 0.3, 0.2)):
         raise ConfigError(
             f"polarity_mix must be 3 non-negative weights summing to 1, got {mix}")
 
+    # rng.choice([1, 2, 3], p=mix) draws one rng.random() and searches
+    # this normalised CDF; doing that directly is ten times cheaper
+    cdf = np.cumsum(mix)
+    cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
     pairs = []
     for k in range(n):
-        polarity = int(rng.choice([1, 2, 3], p=mix))
+        polarity = int(cdf.searchsorted(rng.random(), side="right")) + 1
         prefix, func_offsets, suffix, slot_kind = QUESTION_TEMPLATES[
             rng.integers(len(QUESTION_TEMPLATES))]
         lexicon = GERUNDS if slot_kind == "gerund" else ENTITIES

@@ -1,8 +1,9 @@
 """Reusable network layers: embeddings, BLSTMs, attention, dense head.
 
 A BLSTM consumes and returns lists of per-timestep ``(B, d)`` tensors,
-vectorized over the batch; each direction records one ``tc.lstm_cell``
-op per step. Attention takes whole ``(B, T, d)`` sequences.
+vectorized over the batch; each direction is one ``tc.lstm_cell`` op over
+the whole sequence, and the per-step outputs are row views of its result.
+Attention takes whole ``(B, T, d)`` sequences.
 """
 
 from __future__ import annotations
@@ -63,9 +64,7 @@ class LSTMDirection:
 
     ``wx`` is (4H, input_dim), ``wh`` (4H, H) and ``b`` (4H,), with the
     gate blocks in the order [input | forget | output | candidate] that
-    ``tc.lstm_cell`` reads; the forget-gate bias block starts at 1.0. The
-    recurrent state is one (B, 2H) tensor [h | c], zero before the first
-    step.
+    ``tc.lstm_cell`` reads; the forget-gate bias block starts at 1.0.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, rng):
@@ -77,17 +76,11 @@ class LSTMDirection:
         bias[hidden_dim:2 * hidden_dim] = 1.0
         self.b = Tensor(bias, requires_grad=True)
 
-    def run(self, xs):
-        """Consume per-timestep (B, input_dim) tensors in order; return the
-        (B, 2H) state [h | c] after each step, one ``lstm_cell`` op each."""
-        if not xs:
-            raise ShapeError("LSTM needs at least one timestep")
-        hc = tc.constant(np.zeros((xs[0].shape[0], 2 * self.hidden_dim)))
-        states = []
-        for x in xs:
-            hc = tc.lstm_cell(x, hc, self.wx, self.wh, self.b)
-            states.append(hc)
-        return states
+    def run(self, xs, reverse: bool = False) -> Tensor:
+        """The (T·B, H) hidden states over the (B, input_dim) steps ``xs``,
+        time-major, from one ``lstm_cell`` op; consumed last to first when
+        ``reverse``, with row block t still the state after ``xs[t]``."""
+        return tc.lstm_cell(xs, self.wx, self.wh, self.b, reverse=reverse)
 
 
 class BLSTMLayer:
@@ -101,20 +94,19 @@ class BLSTMLayer:
         self.fw = LSTMDirection(input_dim, output_dim // 2, rng)
         self.bw = LSTMDirection(input_dim, output_dim // 2, rng)
 
-    def _join(self, fw_state: Tensor, bw_state: Tensor) -> Tensor:
-        half = self.output_dim // 2
-        return tc.concat(tc.slice_cols(fw_state, 0, half),
-                         tc.slice_cols(bw_state, 0, half), axis=1)
-
     def seq(self, xs):
         """Per-timestep outputs: [fwd h_t | bwd h_t] for each t."""
-        fwd = self.fw.run(xs)
-        bwd = self.bw.run(xs[::-1])[::-1]
-        return [self._join(f, b) for f, b in zip(fwd, bwd)]
+        both = tc.concat(self.fw.run(xs), self.bw.run(xs, reverse=True), axis=1)
+        batch = xs[0].shape[0]
+        return [tc.index(both, slice(t * batch, (t + 1) * batch))
+                for t in range(len(xs))]
 
     def pool(self, xs) -> Tensor:
         """Whole-sequence vector: last forward h with first backward h."""
-        return self._join(self.fw.run(xs)[-1], self.bw.run(xs[::-1])[-1])
+        fwd, bwd = self.fw.run(xs), self.bw.run(xs, reverse=True)
+        batch = xs[0].shape[0]
+        return tc.concat(tc.index(fwd, slice(fwd.shape[0] - batch, None)),
+                         tc.index(bwd, slice(0, batch)), axis=1)
 
     def params(self, prefix: str) -> dict:
         out = {}

@@ -183,9 +183,7 @@ class Model:
 def _context_steps(src: Tensor, story: Tensor, story_mask) -> list:
     """Attend a (B, T, d) source over a story; its context as T (B, d) steps."""
     ctx, _ = layers.attend_step(src, story, story_mask)
-    batch, t_len, dim = ctx.shape
-    flat = tc.reshape(ctx, (batch, t_len * dim))
-    return [tc.slice_cols(flat, t * dim, (t + 1) * dim) for t in range(t_len)]
+    return [tc.index(ctx, (slice(None), t)) for t in range(ctx.shape[1])]
 
 
 def predict_labels(probs, mask) -> np.ndarray:

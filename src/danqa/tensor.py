@@ -8,6 +8,12 @@ execution order, which keeps repeated backward passes bit-identical.
 Gradients accumulate into leaf tensors (those without parents) that were
 created with ``requires_grad=True``; calling ``backward`` twice without
 ``zero_grad`` doubles the stored gradients.
+
+A backward rule returns one gradient per parent: ``None``, an array of the
+parent's shape, or an ``(index, part)`` pair giving the gradient of
+``parent.data[index]`` only, which the tape adds into a zero buffer of its
+own. Rules may return views of their incoming gradient: the tape mutates
+only the buffers it allocated itself.
 """
 
 from __future__ import annotations
@@ -106,7 +112,15 @@ class Tensor:
                     continue
                 key = id(parent)
                 prev = acc.get(key)
-                if prev is None:
+                if type(pg) is tuple:  # (index, part): d/d parent.data[index]
+                    index, part = pg
+                    if key not in owned:
+                        prev = (np.zeros(parent.data.shape) if prev is None
+                                else prev.copy())
+                        acc[key] = prev
+                        owned.add(key)
+                    prev[index] += part
+                elif prev is None:
                     acc[key] = pg
                 elif key in owned:
                     prev += pg
@@ -182,9 +196,8 @@ def concat(a: Tensor, b: Tensor, axis: int) -> Tensor:
     k = a.shape[ax]
 
     def backward(g):
-        ga = np.take(g, range(k), axis=ax)
-        gb = np.take(g, range(k, g.shape[ax]), axis=ax)
-        return ga, gb
+        head = (slice(None),) * ax
+        return g[(*head, slice(None, k))], g[(*head, slice(k, None))]
 
     return _wrap(np.concatenate([a.data, b.data], axis=ax), (a, b), backward)
 
@@ -200,21 +213,31 @@ def stack_time(xs) -> Tensor:
             raise ShapeError(f"stack_time shape mismatch: {x.shape} vs {base}")
 
     def backward(g):
-        return tuple(g[:, t, :].copy() for t in range(len(xs)))
+        return tuple(g[:, t] for t in range(len(xs)))
 
     return _wrap(np.stack([x.data for x in xs], axis=1), tuple(xs), backward)
 
 
-def slice_cols(x: Tensor, j0: int, j1: int) -> Tensor:
-    if x.data.ndim != 2 or not (0 <= j0 < j1 <= x.data.shape[1]):
-        raise ShapeError(f"bad column slice [{j0}:{j1}] of {x.data.shape}")
+def index(x: Tensor, key) -> Tensor:
+    """The view ``x.data[key]`` for a basic index: integers and slices.
+
+    Its backward rule hands the tape ``(key, g)``, so any number of parts
+    of one tensor add their gradients into a single buffer.
+    """
+    keys = key if isinstance(key, tuple) else (key,)
+    if not all(isinstance(k, (int, slice)) for k in keys):
+        raise ShapeError(f"index takes integers and slices, got {key!r}")
+    try:
+        part = x.data[key]
+    except IndexError as exc:
+        raise ShapeError(f"bad index {key!r} of {x.shape}: {exc}") from None
+    if part.size == 0:
+        raise ShapeError(f"index {key!r} of {x.shape} selects nothing")
 
     def backward(g):
-        full = np.zeros_like(x.data)
-        full[:, j0:j1] = g
-        return (full,)
+        return ((key, g),)
 
-    return _wrap(x.data[:, j0:j1], (x,), backward)
+    return _wrap(part, (x,), backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -317,44 +340,88 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _wrap(x.data @ w.data.T + b.data, (x, w, b), backward)
 
 
-def lstm_cell(x: Tensor, hc: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
-    """One LSTM step: input ``x`` (B, D) and state ``hc`` = [h | c] (B, 2H).
+def lstm_cell(xs, wx: Tensor, wh: Tensor, b: Tensor,
+              reverse: bool = False) -> Tensor:
+    """A whole LSTM direction over the (B, D) step inputs ``xs``, as one op.
 
-    The gate pre-activations ``x @ wx.T + h @ wh.T + b`` have width 4H in
-    the order [input | forget | output | candidate] (the three sigmoid
-    gates share one exp call); ``wx`` is (4H, D), ``wh`` (4H, H) and ``b``
-    (4H,). The result is the next state [h' | c'], again (B, 2H).
+    The direction consumes ``xs`` in order, or last to first when
+    ``reverse``, from a zero state. Each step's gate pre-activations
+    ``x_t @ wx.T + h @ wh.T + b`` have width 4H in the order [input |
+    forget | output | candidate] (the three sigmoid gates share one exp
+    call); ``wx`` is (4H, D), ``wh`` (4H, H) and ``b`` (4H,). Returns the
+    (T·B, H) hidden states in time-major order: row block ``t`` is the
+    state after consuming ``xs[t]``.
+
+    The backward pass runs BPTT inside the op: its time loop computes the
+    gate gradients and ``dX`` step by step, and ``dWx``, ``dWh`` and ``db``
+    are one GEMM or sum each over all steps (the cuDNN recipe, Appleyard et
+    al. 2016). The op computes every step of a direction but keeps the name
+    ``lstm_cell``, which ``bench/tracing.py`` counts rows of.
     """
-    hdim = hc.shape[-1] // 2
-    if (x.data.ndim != 2 or hc.shape != (x.shape[0], 2 * hdim)
-            or wx.shape != (4 * hdim, x.shape[1]) or wh.shape != (4 * hdim, hdim)
-            or b.shape != (4 * hdim,)):
-        raise ShapeError(f"lstm_cell shapes incompatible: x {x.shape}, "
-                         f"[h|c] {hc.shape}, Wx {wx.shape}, Wh {wh.shape}, "
-                         f"b {b.shape}")
-    h_prev, c_prev = hc.data[:, :hdim], hc.data[:, hdim:]
-    z = x.data @ wx.data.T + h_prev @ wh.data.T + b.data
-    gates = 1.0 / (1.0 + np.exp(-z[:, :3 * hdim]))
-    i, f, o = gates[:, :hdim], gates[:, hdim:2 * hdim], gates[:, 2 * hdim:]
-    g_ = np.tanh(z[:, 3 * hdim:])
-    c = f * c_prev + i * g_
-    th = np.tanh(c)
-    out = np.empty(hc.shape)
-    np.multiply(o, th, out=out[:, :hdim])
-    out[:, hdim:] = c
+    hdim = wh.shape[-1]
+    if (not xs or xs[0].data.ndim != 2
+            or any(x.shape != xs[0].shape for x in xs)
+            or wx.shape != (4 * hdim, xs[0].shape[1])
+            or wh.shape != (4 * hdim, hdim) or b.shape != (4 * hdim,)):
+        steps = sorted({x.shape for x in xs})
+        raise ShapeError(f"lstm_cell shapes incompatible: {len(xs)} steps x "
+                         f"{steps}, Wx {wx.shape}, Wh {wh.shape}, b {b.shape}")
+    t_len, (batch, d_in) = len(xs), xs[0].shape
+    parents = (*xs, wx, wh, b)
+    track = _grad_enabled and any(p.requires_grad for p in parents)
+    order = range(t_len - 1, -1, -1) if reverse else range(t_len)
+    hs = np.empty((t_len, batch, hdim))
+    if track:  # what the backward pass reads
+        acts = np.empty((t_len, batch, 4 * hdim))
+        cells = np.empty((t_len, batch, hdim))
+        tanhs = np.empty((t_len, batch, hdim))
+    else:
+        act = np.empty((batch, 4 * hdim))
+    h = c = np.zeros((batch, hdim))
+    wxt, wht = wx.data.T, wh.data.T
+    for t in order:
+        z = xs[t].data @ wxt + h @ wht + b.data
+        if track:
+            act = acts[t]
+        np.divide(1.0, 1.0 + np.exp(-z[:, :3 * hdim]), out=act[:, :3 * hdim])
+        np.tanh(z[:, 3 * hdim:], out=act[:, 3 * hdim:])
+        i, f, o = act[:, :hdim], act[:, hdim:2 * hdim], act[:, 2 * hdim:3 * hdim]
+        c = np.add(f * c, i * act[:, 3 * hdim:], out=cells[t] if track else None)
+        th = np.tanh(c, out=tanhs[t] if track else None)
+        h = np.multiply(o, th, out=hs[t])
 
     def backward(g):
-        gh = g[:, :hdim]
-        gc = g[:, hdim:] + gh * o * (1.0 - th * th)
-        gz = np.empty((len(g), 4 * hdim))  # the pre-activations are not kept
-        gz[:, :hdim] = gc * g_ * i * (1.0 - i)
-        gz[:, hdim:2 * hdim] = gc * c_prev * f * (1.0 - f)
-        gz[:, 2 * hdim:3 * hdim] = gh * th * o * (1.0 - o)
-        gz[:, 3 * hdim:] = gc * i * (1.0 - g_ * g_)
-        ghc = np.concatenate([gz @ wh.data, gc * f], axis=1)
-        return gz @ wx.data, ghc, gz.T @ x.data, gz.T @ h_prev, gz.sum(axis=0)
+        g = g.reshape(t_len, batch, hdim)
+        gz = np.empty((t_len, batch, 4 * hdim))
+        gxs = [None] * t_len
+        first = order[0]
+        gh_rec = gc_next = None
+        for t in reversed(order):
+            i, f, o, g_ = (acts[t, :, k * hdim:(k + 1) * hdim] for k in range(4))
+            th, gzt = tanhs[t], gz[t]
+            gh = g[t] if gh_rec is None else g[t] + gh_rec
+            gc = gh * o * (1.0 - th * th)
+            if gc_next is not None:
+                gc += gc_next
+            gzt[:, :hdim] = gc * g_ * i * (1.0 - i)
+            if t == first:  # the cell state before the first step is zero
+                gzt[:, hdim:2 * hdim] = 0.0
+            else:
+                c_prev = cells[t + 1 if reverse else t - 1]
+                gzt[:, hdim:2 * hdim] = gc * c_prev * f * (1.0 - f)
+            gzt[:, 2 * hdim:3 * hdim] = gh * th * o * (1.0 - o)
+            gzt[:, 3 * hdim:] = gc * i * (1.0 - g_ * g_)
+            gxs[t] = gzt @ wx.data
+            gh_rec = gzt @ wh.data
+            gc_next = gc * f
+        x_all = np.stack([x.data for x in xs]).reshape(t_len * batch, d_in)
+        gz_all = gz.reshape(t_len * batch, 4 * hdim)
+        # h before step t is hs[t - 1] (forward) or hs[t + 1] (reverse)
+        gz_rec, h_prev = (gz[:-1], hs[1:]) if reverse else (gz[1:], hs[:-1])
+        gwh = gz_rec.reshape(-1, 4 * hdim).T @ h_prev.reshape(-1, hdim)
+        return (*gxs, gz_all.T @ x_all, gwh, gz_all.sum(axis=0))
 
-    return _wrap(out, (x, hc, wx, wh, b), backward)
+    return _wrap(hs.reshape(t_len * batch, hdim), parents, backward)
 
 
 def gather_cols(table: Tensor, idx: np.ndarray) -> Tensor:

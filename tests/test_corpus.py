@@ -5,7 +5,9 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from danqa import corpus
 from danqa.corpus import (QAPair, build_vocab, encode, load_corpus,
                           save_corpus, split, synth_generate)
 from danqa.errors import ConfigError, ValidationError
@@ -223,6 +225,33 @@ class TestSynth:
         a = synth_generate(20, "satisf", seed=9)
         b = synth_generate(20, "satisf", seed=9)
         assert a == b
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           task=st.sampled_from(["compat", "satisf"]),
+           weights=st.lists(st.integers(0, 5), min_size=3, max_size=3).filter(any))
+    def test_matches_the_rng_choice_oracle(self, seed, task, weights):
+        # the generator's draws, one pair at a time, with the polarity from
+        # rng.choice as numpy defines it
+        mix = tuple(w / sum(weights) for w in weights)
+        rng = np.random.default_rng(seed)
+        pairs = synth_generate(40, task, seed, polarity_mix=mix)
+        space = get_space(task)
+        for pair in pairs:
+            polarity = int(rng.choice([1, 2, 3], p=mix))
+            prefix, _, suffix, kind = corpus.QUESTION_TEMPLATES[
+                rng.integers(len(corpus.QUESTION_TEMPLATES))]
+            lexicon = corpus.GERUNDS if kind == "gerund" else corpus.ENTITIES
+            filler = list(lexicon[rng.integers(len(lexicon))])
+            template = corpus.ANSWER_TEMPLATES[polarity][
+                rng.integers(len(corpus.ANSWER_TEMPLATES[polarity]))]
+            answer = [w for tok in template
+                      for w in (filler if tok is None else [tok])]
+            product = corpus.PRODUCTS[rng.integers(len(corpus.PRODUCTS))]
+            assert pair.question_tokens == prefix + filler + suffix
+            assert pair.answer_tokens == answer
+            assert pair.product_id == product
+            assert space.target_label(polarity) in pair.gold_labels
 
     def test_bad_mix_rejected(self):
         for mix in ((0.5, 0.4, 0.2), (float("nan"), 0.5, 0.5),

@@ -133,14 +133,39 @@ class TestBLSTM:
 
     @pytest.mark.parametrize("t_len", [1, 4, 9])
     def test_one_op_per_direction_step(self, t_len):
-        # one zero state and one lstm_cell per step in each direction;
-        # seq adds two h slices and a concat per step, pool three in all
+        # one lstm_cell op per direction whatever the length; seq adds one
+        # concat and a row view per step, pool two views and a concat
         rng = np.random.default_rng(t_len)
         layer = BLSTMLayer(3, 4, rng)
         xs = as_steps(rng.standard_normal((t_len, 3)))
-        assert tensors_made(lambda: layer.fw.run(xs)) == t_len + 1
-        assert tensors_made(lambda: layer.seq(xs)) == 5 * t_len + 2
-        assert tensors_made(lambda: layer.pool(xs)) == 2 * t_len + 5
+        assert tensors_made(lambda: layer.fw.run(xs)) == 1
+        assert tensors_made(lambda: layer.seq(xs)) == t_len + 3
+        assert tensors_made(lambda: layer.pool(xs)) == 5
+
+    def test_empty_sequence_rejected(self):
+        layer = BLSTMLayer(3, 4, np.random.default_rng(0))
+        for call in (layer.seq, layer.pool):
+            with pytest.raises(ShapeError, match="0 steps"):
+                call([])
+
+    def test_batched_seq_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(12)
+        layer = BLSTMLayer(3, 4, rng)
+        xs = [tc.parameter(rng.standard_normal((2, 3))) for _ in range(3)]
+        w = [tc.constant(rng.standard_normal((2, 4))) for _ in range(4)]
+
+        def build():
+            seq = layer.seq(xs)
+            terms = [tc.mul(h, v) for h, v in zip(seq + [layer.pool(xs)], w)]
+            total = tc.tensor_sum(terms[0])
+            for term in terms[1:]:
+                total = tc.add(total, tc.tensor_sum(term))
+            return total
+
+        build().backward()
+        for t in (*xs, *layer.params("x").values()):
+            fd = fd_gradient(lambda: build().item(), t.data)
+            assert max_rel_err(t.grad, fd) <= 1e-5
 
     def test_odd_output_dim_rejected(self):
         with pytest.raises(ShapeError):

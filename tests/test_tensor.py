@@ -1,5 +1,7 @@
 """Tensor core: forward values, backward rules, tape behavior."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,16 +11,15 @@ from danqa.errors import ContractError, DomainError, ShapeError
 from util import fd_gradient, max_rel_err
 
 
-def gate_step(x, hc, wx=None, wh=None, b=None):
-    """``lstm_cell`` over tensors or arrays; the weights default to an
-    identity input map with no recurrence or bias, so ``x`` is the gate
-    pre-activation."""
-    hdim = np.shape(hc.data if isinstance(hc, tc.Tensor) else hc)[1] // 2
-    wx = np.eye(4 * hdim) if wx is None else wx
-    wh = np.zeros((4 * hdim, hdim)) if wh is None else wh
-    b = np.zeros(4 * hdim) if b is None else b
-    return tc.lstm_cell(*(t if isinstance(t, tc.Tensor) else tc.constant(t)
-                          for t in (x, hc, wx, wh, b)))
+def gate_step(zs):
+    """``lstm_cell`` over the (B, 4H) step tensors or arrays ``zs`` with an
+    identity input map and no recurrence or bias, so ``zs[t]`` is the gate
+    pre-activation of step t."""
+    zs = [z if isinstance(z, tc.Tensor) else tc.constant(z) for z in zs]
+    hdim = zs[0].shape[1] // 4
+    return tc.lstm_cell(zs, tc.constant(np.eye(4 * hdim)),
+                        tc.constant(np.zeros((4 * hdim, hdim))),
+                        tc.constant(np.zeros(4 * hdim)))
 
 
 def reference_step(x, hc, wx, wh, b):
@@ -30,6 +31,26 @@ def reference_step(x, hc, wx, wh, b):
     i, f, o = (sig(z[:, k * hdim:(k + 1) * hdim]) for k in range(3))
     c_new = f * c + i * np.tanh(z[:, 3 * hdim:])
     return np.concatenate([o * np.tanh(c_new), c_new], axis=1)
+
+
+def reference_direction(xs, wx, wh, b, reverse=False):
+    """T calls of ``reference_step`` from a zero [h | c]; (T·B, H) like
+    ``lstm_cell``, row block t being the state after ``xs[t]``."""
+    hdim = wh.shape[1]
+    hc = np.zeros((xs[0].shape[0], 2 * hdim))
+    out = [None] * len(xs)
+    for t in (reversed(range(len(xs))) if reverse else range(len(xs))):
+        hc = reference_step(xs[t], hc, wx, wh, b)
+        out[t] = hc[:, :hdim]
+    return np.concatenate(out)
+
+
+def lstm_inputs(rng, t_len, batch=3, d_in=4, hdim=2, scale=1.0):
+    """Random step inputs and weights for an ``lstm_cell`` call, as arrays."""
+    xs = [scale * rng.standard_normal((batch, d_in)) for _ in range(t_len)]
+    return (xs, scale * rng.standard_normal((4 * hdim, d_in)),
+            scale * rng.standard_normal((4 * hdim, hdim)),
+            scale * rng.standard_normal(4 * hdim))
 
 
 class TestMatmul:
@@ -127,8 +148,8 @@ class TestConcat:
         a = tc.parameter(rng.standard_normal((3, 4)))
         b = tc.parameter(rng.standard_normal((3, 2)))
         joined = tc.concat(a, b, axis=1)
-        back_a = tc.slice_cols(joined, 0, 4)
-        back_b = tc.slice_cols(joined, 4, 6)
+        back_a = tc.index(joined, (slice(None), slice(0, 4)))
+        back_b = tc.index(joined, (slice(None), slice(4, 6)))
         np.testing.assert_array_equal(back_a.data, a.data)
         np.testing.assert_array_equal(back_b.data, b.data)
         tc.tensor_sum(back_a).backward()
@@ -136,18 +157,86 @@ class TestConcat:
         np.testing.assert_array_equal(b.grad, np.zeros((3, 2)))
 
 
+class TestIndex:
+    """``index`` views; the tape adds their ``(index, part)`` gradients."""
+
+    def test_overlapping_slices_add(self):
+        x = tc.parameter(np.zeros((4, 3)))
+        tc.add(tc.tensor_sum(tc.index(x, slice(0, 3))),
+               tc.tensor_sum(tc.index(x, slice(1, 4)))).backward()
+        np.testing.assert_array_equal(x.grad, np.repeat([[1.], [2.], [2.], [1.]],
+                                                        3, axis=1))
+
+    @pytest.mark.parametrize("slice_first", [False, True])
+    def test_slice_and_full_gradients_add_in_either_order(self, slice_first):
+        # the full gradient reaches y as the very array add() also hands to
+        # z, so adding the slice into it in place would corrupt z's gradient
+        rng = np.random.default_rng(11)
+        x = tc.parameter(rng.standard_normal((4, 3)))
+        other = tc.parameter(rng.standard_normal((4, 3)))
+        w_full = rng.standard_normal((4, 3))
+        w_part = rng.standard_normal((2, 3))
+        y = tc.mul(x, tc.constant(np.full((4, 3), 2.0)))
+        z = tc.mul(other, tc.constant(np.full((4, 3), 3.0)))
+
+        def part():
+            return tc.tensor_sum(tc.mul(tc.index(y, slice(1, 3)),
+                                        tc.constant(w_part)))
+
+        def full():
+            return tc.tensor_sum(tc.mul(tc.add(y, z), tc.constant(w_full)))
+
+        first, second = (part(), full()) if slice_first else (full(), part())
+        tc.add(first, second).backward()
+        expected = w_full.copy()
+        expected[1:3] += w_part
+        np.testing.assert_allclose(x.grad, 2.0 * expected, rtol=1e-15)
+        np.testing.assert_array_equal(other.grad, 3.0 * w_full)
+
+    def test_leaf_parameter_gets_parts(self):
+        x = tc.parameter(np.zeros((3, 4)))
+        w = np.arange(3.0)
+        loss = tc.add(tc.tensor_sum(tc.mul(tc.index(x, (slice(None), 1)),
+                                           tc.constant(w))),
+                      tc.tensor_sum(tc.index(x, (0, slice(0, 2)))))
+        loss.backward()
+        expected = np.zeros((3, 4))
+        expected[:, 1] = w
+        expected[0, :2] += 1.0
+        np.testing.assert_array_equal(x.grad, expected)
+        loss.backward()
+        np.testing.assert_array_equal(x.grad, 2.0 * expected)
+
+    def test_value_is_the_numpy_view(self):
+        x = tc.constant(np.arange(24.0).reshape(2, 3, 4))
+        np.testing.assert_array_equal(tc.index(x, (slice(None), 2)).data,
+                                      x.data[:, 2])
+
+    def test_bad_keys_name_the_shape(self):
+        x = tc.constant(np.zeros((4, 3)))
+        with pytest.raises(ShapeError, match="integers and slices"):
+            tc.index(x, [0, 1])
+        with pytest.raises(ShapeError, match=r"\(4, 3\)"):
+            tc.index(x, (slice(None), 5))
+        with pytest.raises(ShapeError, match=r"of \(4, 3\) selects nothing"):
+            tc.index(x, slice(2, 2))
+
+
 class TestPointwise:
     """Elementwise ops; the sigmoid and tanh live inside ``lstm_cell``."""
 
     def test_sigmoid_zero(self):
-        # z = 0 opens every sigmoid gate half way: c' = 0.5 * c_prev
-        hc = gate_step(np.zeros((1, 4)), [[0.0, 1.0]])
-        assert hc.data[0, 1] == 0.5
+        # z = 0 opens every sigmoid gate half way: step 1 writes
+        # c1 = 0.5 * tanh(2), step 2 keeps c2 = 0.5 * c1, and h = 0.5 * tanh(c)
+        h = gate_step([[[0.0, 0.0, 0.0, 2.0]], np.zeros((1, 4))]).data
+        c1 = 0.5 * np.tanh(2.0)
+        assert h[0, 0] == 0.5 * np.tanh(c1)
+        assert h[1, 0] == 0.5 * np.tanh(0.5 * c1)
 
     def test_tanh_zero(self):
         # zero pre-activations and cell give a zero candidate, cell and state
-        hc = gate_step(np.zeros((1, 4)), np.zeros((1, 2)))
-        np.testing.assert_array_equal(hc.data, [[0.0, 0.0]])
+        h = gate_step([np.zeros((1, 4))] * 3)
+        np.testing.assert_array_equal(h.data, np.zeros((3, 1)))
 
     def test_binary_shape_mismatch(self):
         a, b = tc.constant(np.zeros((2, 2))), tc.constant(np.zeros((2, 3)))
@@ -263,7 +352,7 @@ class TestBackward:
             a = tc.parameter(rng.standard_normal((1, 5, 5)))
             b = tc.parameter(rng.standard_normal((1, 5, 20)))
             z = tc.reshape(tc.bmm(a, b), (5, 20))
-            h = gate_step(z, np.zeros((5, 10)))
+            h = gate_step([z, tc.mul(z, z)])
             out = tc.softmax_rows(tc.concat(h, tc.mul(h, h), axis=1))
             tc.tensor_sum(out).backward()
             return a.grad.copy(), b.grad.copy()
@@ -276,61 +365,79 @@ class TestBackward:
 
 class TestFusedOps:
     def test_lstm_cell_matches_finite_differences(self):
-        rng = np.random.default_rng(7)
-        x = tc.parameter(rng.standard_normal((3, 4)))
-        hc = tc.parameter(rng.standard_normal((3, 4)))
-        wx = tc.parameter(rng.standard_normal((8, 4)))
-        wh = tc.parameter(rng.standard_normal((8, 2)))
-        b = tc.parameter(rng.standard_normal(8))
-        v = tc.constant(rng.standard_normal((3, 4)))
-        tc.tensor_sum(tc.mul(tc.lstm_cell(x, hc, wx, wh, b), v)).backward()
+        for t_len, reverse in itertools.product((1, 3), (False, True)):
+            rng = np.random.default_rng(7 + t_len)
+            xs, wx, wh, b = lstm_inputs(rng, t_len)
+            xs = [tc.parameter(x) for x in xs]
+            wx, wh, b = tc.parameter(wx), tc.parameter(wh), tc.parameter(b)
+            v = tc.constant(rng.standard_normal((3 * t_len, 2)))
 
-        def loss():
-            return tc.tensor_sum(
-                tc.mul(tc.lstm_cell(x, hc, wx, wh, b), v)).item()
+            def build():
+                return tc.tensor_sum(
+                    tc.mul(tc.lstm_cell(xs, wx, wh, b, reverse=reverse), v))
 
-        for t in (x, hc, wx, wh, b):
-            assert max_rel_err(t.grad, fd_gradient(loss, t.data)) <= 1e-5
+            build().backward()
+            for t in (*xs, wx, wh, b):
+                fd = fd_gradient(lambda: build().item(), t.data)
+                assert max_rel_err(t.grad, fd) <= 1e-5, (t_len, reverse)
 
     def test_lstm_cell_gradients(self):
+        # gate pre-activations as inputs: the candidate, the cell carried
+        # through the forget gate and the output gate each get a gradient
         rng = np.random.default_rng(9)
-        z = tc.parameter(rng.standard_normal((3, 8)))
-        hc = tc.parameter(np.concatenate(
-            [np.zeros((3, 2)), rng.standard_normal((3, 2))], axis=1))
-        w = tc.constant(rng.standard_normal((3, 4)))
+        zs = [tc.parameter(rng.standard_normal((3, 8))) for _ in range(3)]
+        w = tc.constant(rng.standard_normal((9, 2)))
 
         def build():
-            return tc.tensor_sum(tc.mul(gate_step(z, hc), w))
+            return tc.tensor_sum(tc.mul(gate_step(zs), w))
 
         build().backward()
-        for t in (z, hc):
-            assert max_rel_err(t.grad, fd_gradient(lambda: build().item(),
-                                                   t.data)) <= 1e-5
+        assert np.all(zs[0].grad[:, 2:4] == 0.0)  # no cell before step 0
+        assert np.all(zs[0].grad[:, [0, 1, 4, 5, 6, 7]] != 0.0)
+        for z in zs[1:]:
+            assert np.all(z.grad != 0.0)
+        for z in zs:
+            assert max_rel_err(z.grad, fd_gradient(lambda: build().item(),
+                                                   z.data)) <= 1e-5
 
     def test_lstm_cell_shape_error_names_the_shapes(self):
-        x, hc = tc.constant(np.zeros((3, 4))), tc.constant(np.zeros((3, 4)))
+        x = tc.constant(np.zeros((3, 4)))
         wx, b = tc.constant(np.zeros((8, 4))), tc.constant(np.zeros(8))
         with pytest.raises(ShapeError, match=r"\(3, 4\).*Wh \(8, 3\)"):
-            tc.lstm_cell(x, hc, wx, tc.constant(np.zeros((8, 3))), b)
-        with pytest.raises(ShapeError, match=r"x \(2, 4\), \[h\|c\] \(3, 4\)"):
-            tc.lstm_cell(tc.constant(np.zeros((2, 4))), hc, wx,
+            tc.lstm_cell([x], wx, tc.constant(np.zeros((8, 3))), b)
+        with pytest.raises(ShapeError,
+                           match=r"2 steps x \[\(2, 4\), \(3, 4\)\]"):
+            tc.lstm_cell([x, tc.constant(np.zeros((2, 4)))], wx,
                          tc.constant(np.zeros((8, 2))), b)
+        with pytest.raises(ShapeError, match=r"0 steps x \[\], Wx \(8, 4\)"):
+            tc.lstm_cell([], wx, tc.constant(np.zeros((8, 2))), b)
+        with pytest.raises(ShapeError, match=r"b \(4,\)"):
+            tc.lstm_cell([x], wx, tc.constant(np.zeros((8, 2))),
+                         tc.constant(np.zeros(4)))
 
     @settings(max_examples=40, deadline=None)
-    @given(batch=st.integers(1, 4), d_in=st.integers(1, 5),
-           hdim=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+    @given(t_len=st.integers(1, 5), batch=st.integers(1, 4),
+           d_in=st.integers(1, 5), hdim=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1), reverse=st.booleans(),
            scale=st.sampled_from([0.1, 1.0, 3.0]))
-    def test_lstm_cell_matches_reference_step(self, batch, d_in, hdim, seed,
-                                              scale):
-        rng = np.random.default_rng(seed)
-        x = scale * rng.standard_normal((batch, d_in))
-        hc = scale * rng.standard_normal((batch, 2 * hdim))
-        wx = scale * rng.standard_normal((4 * hdim, d_in))
-        wh = scale * rng.standard_normal((4 * hdim, hdim))
-        b = scale * rng.standard_normal(4 * hdim)
-        got = gate_step(x, hc, wx, wh, b).data
-        np.testing.assert_allclose(got, reference_step(x, hc, wx, wh, b),
-                                   rtol=0, atol=1e-12)
+    def test_lstm_cell_matches_reference_step(self, t_len, batch, d_in, hdim,
+                                              seed, reverse, scale):
+        xs, wx, wh, b = lstm_inputs(np.random.default_rng(seed), t_len,
+                                    batch, d_in, hdim, scale)
+        got = tc.lstm_cell([tc.constant(x) for x in xs], tc.constant(wx),
+                           tc.constant(wh), tc.constant(b), reverse=reverse)
+        np.testing.assert_allclose(
+            got.data, reference_direction(xs, wx, wh, b, reverse),
+            rtol=0, atol=1e-12)
+
+    def test_lstm_cell_records_no_buffers_without_grad(self):
+        xs, wx, wh, b = lstm_inputs(np.random.default_rng(10), 4)
+        args = ([tc.parameter(x) for x in xs], tc.parameter(wx),
+                tc.parameter(wh), tc.parameter(b))
+        with tc.no_grad():
+            plain = tc.lstm_cell(*args)
+        assert plain._backward is None
+        np.testing.assert_array_equal(plain.data, tc.lstm_cell(*args).data)
 
     def test_gather_cols_scatter_adds(self):
         table = tc.parameter(np.arange(12, dtype=float).reshape(3, 4))
@@ -352,7 +459,11 @@ def test_every_op_gradient_over_twenty_seeds():
 
         def build():
             m = tc.reshape(tc.bmm(x, y), (3, 12))
-            s = tc.softmax_rows(gate_step(m, np.ones((3, 6))))
+            swapped = tc.concat(tc.index(m, (slice(None), slice(6, None))),
+                                tc.index(m, (slice(None), slice(0, 6))), axis=1)
+            h = gate_step([m, swapped])
+            steps = [tc.index(h, slice(0, 3)), tc.index(h, slice(3, 6))]
+            s = tc.softmax_rows(tc.reshape(tc.stack_time(steps), (3, 6)))
             return tc.tensor_sum(tc.mul(s, w))
 
         build().backward()
