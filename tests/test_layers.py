@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from danqa import tensor as tc
 from danqa.errors import ConfigError, ShapeError, VocabError
 from danqa.layers import BLSTMLayer, EmbeddingTable, attend_step, dense_shared
-from util import fd_gradient, max_rel_err
+from util import fd_gradient, max_rel_err, reference_attention
 
 
 def zeroed_layer(input_dim, output_dim, seed=0):
@@ -42,21 +42,6 @@ def attention(src, story, mask=None):
     context, weights = attend_step(tc.constant(src[None]),
                                    tc.constant(story[None]), mask[None])
     return context.data[0], weights.data[0]
-
-
-def reference_attention(src, story, mask):
-    """Per-row numpy softmax of ``src_t . story`` over the real positions."""
-    batch, t_len, _ = src.shape
-    context = np.zeros(src.shape)
-    weights = np.zeros((batch, t_len, story.shape[1]))
-    for b in range(batch):
-        real = mask[b] > 0
-        for t in range(t_len):
-            logits = story[b, real] @ src[b, t]
-            e = np.exp(logits - logits.max())
-            weights[b, t, real] = e / e.sum()
-            context[b, t] = weights[b, t] @ story[b]
-    return context, weights
 
 
 class TestEmbedding:

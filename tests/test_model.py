@@ -5,6 +5,7 @@ import os
 import re
 import struct
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from danqa.metrics import spans_from_labels
 from danqa.model import (CHECKPOINT_MAGIC, VARIANTS, Model, ModelConfig,
                          decode_tuples, load_checkpoint, predict_labels,
                          save_checkpoint)
+from util import reference_forward
 
 
 def micro_cfg(variant="dan", task="compat", seed=0, **kw):
@@ -99,6 +101,17 @@ def spoil_checkpoint(path, how):
     doctored = text.get(how, json.dumps(manifest).encode())
     path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(doctored))
                      + doctored + blob[head + 4 + mlen:])
+
+
+def random_example(rng, t_q, t_a, vocab_size):
+    """Random tokens with a random real length of at least one per side."""
+    fields = {}
+    for side, width in (("q", t_q), ("a", t_a)):
+        mask = (np.arange(width) < rng.integers(1, width + 1)).astype(float)
+        fields[f"x_{side}"] = np.where(
+            mask > 0, rng.integers(1, vocab_size, size=width), 0)
+        fields[f"{side}_mask"] = mask
+    return SimpleNamespace(**fields)
 
 
 def probs_of(model, example):
@@ -231,6 +244,27 @@ class TestForward:
             for ex, rows in zip(batch, together, strict=True):
                 np.testing.assert_allclose(rows, probs_of(model, ex),
                                            rtol=0, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(variant=st.sampled_from(VARIANTS),
+           task=st.sampled_from(("compat", "satisf")),
+           d_e=st.integers(1, 8), half=st.integers(1, 4),
+           t_q=st.integers(1, 6), t_a=st.integers(1, 6),
+           size=st.integers(1, 6), seed=st.integers(0, 2 ** 16))
+    def test_matches_numpy_reference(self, variant, task, d_e, half, t_q, t_a,
+                                     size, seed):
+        """The probabilities are those of ``util.reference_forward``, the
+        model written out in plain numpy one example at a time."""
+        cfg = ModelConfig(variant=variant, task=task, d_e=d_e,
+                          blstm_dim=2 * half, t_q=t_q, t_a=t_a, seed=seed)
+        model = Model(cfg, 12)
+        rng = np.random.default_rng(seed)
+        examples = [random_example(rng, t_q, t_a, 12) for _ in range(size)]
+        with tc.no_grad():
+            got = model.forward_batch(examples).data
+        params = {name: p.data for name, p in model.params().items()}
+        np.testing.assert_allclose(
+            got, reference_forward(params, examples, cfg), rtol=0, atol=1e-12)
 
     def test_never_produces_non_finite(self):
         for seed in range(5):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from danqa import tensor as tc
 from danqa.errors import ContractError, DomainError, ShapeError
-from util import fd_gradient, max_rel_err
+from util import fd_gradient, max_rel_err, reference_direction
 
 
 def gate_step(zs):
@@ -20,29 +20,6 @@ def gate_step(zs):
     return tc.lstm_cell(zs, tc.constant(np.eye(4 * hdim)),
                         tc.constant(np.zeros((4 * hdim, hdim))),
                         tc.constant(np.zeros(4 * hdim)))
-
-
-def reference_step(x, hc, wx, wh, b):
-    """Separate affine pre-activation, then the textbook gate formulas."""
-    hdim = wh.shape[1]
-    h, c = hc[:, :hdim], hc[:, hdim:]
-    z = x @ wx.T + h @ wh.T + b
-    sig = lambda v: 1.0 / (1.0 + np.exp(-v))
-    i, f, o = (sig(z[:, k * hdim:(k + 1) * hdim]) for k in range(3))
-    c_new = f * c + i * np.tanh(z[:, 3 * hdim:])
-    return np.concatenate([o * np.tanh(c_new), c_new], axis=1)
-
-
-def reference_direction(xs, wx, wh, b, reverse=False):
-    """T calls of ``reference_step`` from a zero [h | c]; (T·B, H) like
-    ``lstm_cell``, row block t being the state after ``xs[t]``."""
-    hdim = wh.shape[1]
-    hc = np.zeros((xs[0].shape[0], 2 * hdim))
-    out = [None] * len(xs)
-    for t in (reversed(range(len(xs))) if reverse else range(len(xs))):
-        hc = reference_step(xs[t], hc, wx, wh, b)
-        out[t] = hc[:, :hdim]
-    return np.concatenate(out)
 
 
 def lstm_inputs(rng, t_len, batch=3, d_in=4, hdim=2, scale=1.0):

@@ -1,8 +1,11 @@
-"""Shared test oracles: finite differences and a reference scorer.
+"""Shared test oracles: finite differences, the model and a scorer in numpy.
 
-The reference scorer re-implements the evaluation definitions naively and
-independently of danqa.metrics (explicit per-example loops, repeated max
-extraction instead of a sorted sweep) so agreement is meaningful.
+The model oracles (``reference_step`` up to ``reference_forward``) compute
+the forward pass from plain arrays with textbook formulas, one example and
+one step at a time, without importing danqa.tensor. The reference scorer
+re-implements the evaluation definitions naively and independently of
+danqa.metrics (explicit per-example loops, repeated max extraction instead
+of a sorted sweep) so agreement is meaningful.
 """
 
 import numpy as np
@@ -29,6 +32,93 @@ def fd_gradient(f, x: np.ndarray, eps: float = 1e-4) -> np.ndarray:
 def max_rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / denom))
+
+
+def reference_step(x, hc, wx, wh, b):
+    """Separate affine pre-activation, then the textbook gate formulas."""
+    hdim = wh.shape[1]
+    h, c = hc[:, :hdim], hc[:, hdim:]
+    z = x @ wx.T + h @ wh.T + b
+    sig = lambda v: 1.0 / (1.0 + np.exp(-v))
+    i, f, o = (sig(z[:, k * hdim:(k + 1) * hdim]) for k in range(3))
+    c_new = f * c + i * np.tanh(z[:, 3 * hdim:])
+    return np.concatenate([o * np.tanh(c_new), c_new], axis=1)
+
+
+def reference_direction(xs, wx, wh, b, reverse=False):
+    """T calls of ``reference_step`` over the (B, D) steps ``xs`` from a zero
+    [h | c]; (T·B, H) like ``lstm_cell``, row block t the state after
+    ``xs[t]``."""
+    hdim = wh.shape[1]
+    hc = np.zeros((xs[0].shape[0], 2 * hdim))
+    out = [None] * len(xs)
+    for t in (reversed(range(len(xs))) if reverse else range(len(xs))):
+        hc = reference_step(xs[t], hc, wx, wh, b)
+        out[t] = hc[:, :hdim]
+    return np.concatenate(out)
+
+
+def reference_attention(src, story, mask):
+    """Per-row numpy softmax of ``src_t . story`` over the real positions."""
+    batch, t_len, _ = src.shape
+    context = np.zeros(src.shape)
+    weights = np.zeros((batch, t_len, story.shape[1]))
+    for b in range(batch):
+        real = mask[b] > 0
+        for t in range(t_len):
+            logits = story[b, real] @ src[b, t]
+            e = np.exp(logits - logits.max())
+            weights[b, t, real] = e / e.sum()
+            context[b, t] = weights[b, t] @ story[b]
+    return context, weights
+
+
+def reference_forward(params, examples, cfg):
+    """Inference-mode label distributions (B·T_q, L), one example at a time.
+
+    ``params`` maps ``Model.params()`` names to arrays. Each example's
+    question and answer go through their context BLSTMs; the attending
+    variants join each with its attention context over the story (question
+    then answer) or, for ``qa-coattention``, over each other; the second
+    BLSTMs re-encode both, the answer is pooled to [last forward h | first
+    backward h], and every question step joined with it is classified.
+    """
+    def directions(name, x):
+        """Forward and backward hidden states (T, H) over the rows of x."""
+        return [reference_direction(x[:, None], params[f"{name}.{d}.Wx"],
+                                    params[f"{name}.{d}.Wh"],
+                                    params[f"{name}.{d}.b"], reverse=d == "bw")
+                for d in ("fw", "bw")]
+
+    def seq(name, x):
+        return np.concatenate(directions(name, x), axis=1)
+
+    def context(src, story, mask):
+        return reference_attention(src[None], story[None], mask[None])[0][0]
+
+    rows = []
+    for ex in examples:
+        eq = params["embedding.We"][:, ex.x_q].T
+        ea = params["embedding.We"][:, ex.x_a].T
+        hq, ha = seq("ctx1_q", eq), seq("ctx1_a", ea)
+        contexts = (None, None)
+        if cfg.variant in ("dan", "dan-no-ans-attn"):
+            story = seq("ctx1_qa", np.concatenate([eq, ea]))
+            mask = np.concatenate([ex.q_mask, ex.a_mask])
+            contexts = (context(hq, story, mask),
+                        context(ha, story, mask) if cfg.variant == "dan" else None)
+        elif cfg.variant == "qa-coattention":
+            contexts = (context(hq, ha, ex.a_mask), context(ha, hq, ex.q_mask))
+        hq, ha = (h if c is None else np.concatenate([h, c], axis=1)
+                  for h, c in zip((hq, ha), contexts))
+        fw, bw = directions("ctx2_a", ha)
+        answer = np.concatenate([fw[-1], bw[0]])
+        hq = seq("ctx2_q", hq)
+        joined = np.concatenate([hq, np.tile(answer, (len(hq), 1))], axis=1)
+        logits = joined @ params["dense.W"].T + params["dense.b"]
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        rows.append(e / e.sum(axis=1, keepdims=True))
+    return np.concatenate(rows)
 
 
 def _f1(tp, fp, fn):
