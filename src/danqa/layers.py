@@ -1,9 +1,9 @@
 """Reusable network layers: embeddings, BLSTMs, attention, dense head.
 
-A BLSTM consumes and returns lists of per-timestep ``(B, d)`` tensors,
-vectorized over the batch; each direction is one ``tc.lstm_cell`` op over
-the whole sequence, and the per-step outputs are row views of its result.
-Attention takes whole ``(B, T, d)`` sequences.
+A sequence is one time-major ``(T, B, d)`` tensor. An embedding lookup of a
+``(T, B)`` index array returns one; a BLSTM consumes one and runs each
+direction as one ``tc.lstm_cell`` op over the whole sequence. Attention
+takes batch-first ``(B, T, d)`` views, which ``tc.transpose`` makes.
 """
 
 from __future__ import annotations
@@ -76,11 +76,11 @@ class LSTMDirection:
         bias[hidden_dim:2 * hidden_dim] = 1.0
         self.b = Tensor(bias, requires_grad=True)
 
-    def run(self, xs, reverse: bool = False) -> Tensor:
-        """The (T·B, H) hidden states over the (B, input_dim) steps ``xs``,
-        time-major, from one ``lstm_cell`` op; consumed last to first when
-        ``reverse``, with row block t still the state after ``xs[t]``."""
-        return tc.lstm_cell(xs, self.wx, self.wh, self.b, reverse=reverse)
+    def run(self, x: Tensor, reverse: bool = False) -> Tensor:
+        """The (T·B, H) hidden states over the (T, B, input_dim) sequence
+        ``x``, time-major, from one ``lstm_cell`` op; consumed last to first
+        when ``reverse``, with row block t still the state after step t."""
+        return tc.lstm_cell(x, self.wx, self.wh, self.b, reverse=reverse)
 
 
 class BLSTMLayer:
@@ -94,19 +94,18 @@ class BLSTMLayer:
         self.fw = LSTMDirection(input_dim, output_dim // 2, rng)
         self.bw = LSTMDirection(input_dim, output_dim // 2, rng)
 
-    def seq(self, xs):
-        """Per-timestep outputs: [fwd h_t | bwd h_t] for each t."""
-        both = tc.concat(self.fw.run(xs), self.bw.run(xs, reverse=True), axis=1)
-        batch = xs[0].shape[0]
-        return [tc.index(both, slice(t * batch, (t + 1) * batch))
-                for t in range(len(xs))]
+    def seq(self, x: Tensor) -> Tensor:
+        """The (T, B, output_dim) outputs over the (T, B, input_dim)
+        sequence ``x``: [fwd h_t | bwd h_t] at each step t."""
+        both = tc.concat(self.fw.run(x), self.bw.run(x, reverse=True), axis=1)
+        return tc.reshape(both, (*x.shape[:2], self.output_dim))
 
-    def pool(self, xs) -> Tensor:
-        """Whole-sequence vector: last forward h with first backward h."""
-        fwd, bwd = self.fw.run(xs), self.bw.run(xs, reverse=True)
-        batch = xs[0].shape[0]
-        return tc.concat(tc.index(fwd, slice(fwd.shape[0] - batch, None)),
-                         tc.index(bwd, slice(0, batch)), axis=1)
+    def pool(self, x: Tensor) -> Tensor:
+        """(B, output_dim) sequence vectors: last forward h with first
+        backward h."""
+        fwd, bwd = self.fw.run(x), self.bw.run(x, reverse=True)
+        batch = x.shape[1]
+        return tc.concat(fwd[-batch:], bwd[:batch], axis=1)
 
     def params(self, prefix: str) -> dict:
         out = {}
@@ -126,7 +125,7 @@ def attend_step(src: Tensor, story: Tensor, story_mask):
     weights)``: the (B, T, d) weight-averaged story rows and the (B, T, S)
     row-softmax of the masked ``src . story`` logits.
     """
-    scores = tc.bmm(src, tc.swap_last2(story))
+    scores = tc.bmm(src, tc.transpose(story, (0, 2, 1)))
     bias = np.where(np.asarray(story_mask) > 0, 0.0, NEG_INF)[:, None, :]
     weights = tc.softmax_rows(
         tc.add(scores, tc.constant(np.broadcast_to(bias, scores.shape))))

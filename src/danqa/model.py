@@ -48,8 +48,12 @@ class ModelConfig:
             raise ConfigError(
                 f"unknown variant {self.variant!r}; expected one of {VARIANTS}"
             )
-        if self.t_q < 1 or self.t_a < 1:
-            raise ConfigError("t_q and t_a must be >= 1")
+        for name, low in (("d_e", 1), ("blstm_dim", 2), ("t_q", 1), ("t_a", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) \
+                    or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got "
+                                  f"{value!r}")
         if self.blstm_dim % 2 != 0:
             raise ConfigError(f"blstm_dim must be even, got {self.blstm_dim}")
         if not (0.0 <= self.dropout_rate < 1.0):
@@ -126,6 +130,9 @@ class Model:
         """Label distributions of every question position, shape (B·T_q, L).
 
         Row ``b * t_q + t`` belongs to position ``t`` of ``examples[b]``.
+        Each sequence is one time-major (T, B, d) tensor from its embedding
+        lookup to the second BLSTMs; attention reads (B, T, d) views, and
+        the head transposes the question encoding to (B, T_q, d) once.
         """
         cfg = self.cfg
         if not examples:
@@ -143,47 +150,42 @@ class Model:
         def drop(t):
             return tc.dropout(t, rate, training, rng)
 
+        def swap_time_batch(t):
+            return tc.transpose(t, (1, 0, 2))
+
         xq = np.stack([ex.x_q for ex in examples])
         xa = np.stack([ex.x_a for ex in examples])
         qm = np.stack([ex.q_mask for ex in examples])
         am = np.stack([ex.a_mask for ex in examples])
         batch = len(examples)
 
-        eq = [self.embedding.lookup(xq[:, t]) for t in range(cfg.t_q)]
-        ea = [self.embedding.lookup(xa[:, t]) for t in range(cfg.t_a)]
-
-        hq1 = [drop(h) for h in self.ctx1_q.seq(eq)]
-        ha1 = [drop(h) for h in self.ctx1_a.seq(ea)]
+        eq = self.embedding.lookup(xq.T)
+        ea = self.embedding.lookup(xa.T)
+        hq1 = drop(self.ctx1_q.seq(eq))
+        ha1 = drop(self.ctx1_a.seq(ea))
 
         cq = ca = None
         if self.ctx1_qa is not None:
-            story = tc.stack_time([drop(h) for h in self.ctx1_qa.seq(eq + ea)])
+            story = swap_time_batch(
+                drop(self.ctx1_qa.seq(tc.concat(eq, ea, axis=0))))
             mask = np.concatenate([qm, am], axis=1)
-            cq = _context_steps(tc.stack_time(hq1), story, mask)
+            cq, _ = layers.attend_step(swap_time_batch(hq1), story, mask)
             if cfg.variant == "dan":
-                ca = _context_steps(tc.stack_time(ha1), story, mask)
+                ca, _ = layers.attend_step(swap_time_batch(ha1), story, mask)
         elif cfg.variant == "qa-coattention":
-            story_q, story_a = tc.stack_time(hq1), tc.stack_time(ha1)
-            cq = _context_steps(story_q, story_a, am)
-            ca = _context_steps(story_a, story_q, qm)
+            story_q, story_a = swap_time_batch(hq1), swap_time_batch(ha1)
+            cq, _ = layers.attend_step(story_q, story_a, am)
+            ca, _ = layers.attend_step(story_a, story_q, qm)
 
-        hq2 = [tc.concat(h, c, axis=1) for h, c in zip(hq1, cq)] if cq else hq1
-        ha2 = [tc.concat(h, c, axis=1) for h, c in zip(ha1, ca)] if ca else ha1
+        hq2 = hq1 if cq is None else tc.concat(hq1, swap_time_batch(cq), axis=2)
+        ha2 = ha1 if ca is None else tc.concat(ha1, swap_time_batch(ca), axis=2)
 
-        hq3 = self.ctx2_q.seq(hq2)
-        ha3 = self.ctx2_a.pool(ha2)
-
-        joined = tc.stack_time([tc.concat(h, ha3, axis=1) for h in hq3])
-        flat = tc.reshape(joined, (batch * cfg.t_q, 2 * cfg.blstm_dim))
-        flat = drop(flat)
+        hq3 = swap_time_batch(self.ctx2_q.seq(hq2))
+        ha3 = tc.repeat(self.ctx2_a.pool(ha2), cfg.t_q, axis=1)
+        joined = tc.concat(hq3, ha3, axis=2)
+        flat = drop(tc.reshape(joined, (batch * cfg.t_q, 2 * cfg.blstm_dim)))
         return tc.softmax_rows(
             layers.dense_shared(flat, self.dense_w, self.dense_b))
-
-
-def _context_steps(src: Tensor, story: Tensor, story_mask) -> list:
-    """Attend a (B, T, d) source over a story; its context as T (B, d) steps."""
-    ctx, _ = layers.attend_step(src, story, story_mask)
-    return [tc.index(ctx, (slice(None), t)) for t in range(ctx.shape[1])]
 
 
 def predict_labels(probs, mask) -> np.ndarray:
@@ -352,7 +354,7 @@ def load_checkpoint(path):
             raise ConfigError(f"{path} manifest lacks {missing}")
         try:
             cfg = ModelConfig(**manifest["config"])
-        except TypeError as exc:
+        except (TypeError, ConfigError) as exc:
             raise ConfigError(f"{path} has a bad model config: {exc}") from None
         if manifest["labels"] != list(cfg.space.labels):
             raise ConfigError(

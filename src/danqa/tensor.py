@@ -9,11 +9,13 @@ Gradients accumulate into leaf tensors (those without parents) that were
 created with ``requires_grad=True``; calling ``backward`` twice without
 ``zero_grad`` doubles the stored gradients.
 
-A backward rule returns one gradient per parent: ``None``, an array of the
-parent's shape, or an ``(index, part)`` pair giving the gradient of
-``parent.data[index]`` only, which the tape adds into a zero buffer of its
-own. Rules may return views of their incoming gradient: the tape mutates
-only the buffers it allocated itself.
+A backward rule returns one gradient per parent: ``None`` or an array of
+the parent's shape. Rules may return views of their incoming gradient: the
+tape mutates only the buffers it allocated itself.
+
+Sequences are single time-major ``(T, B, d)`` tensors: ``lstm_cell`` reads
+step ``t`` as ``x.data[t]``, and ``transpose`` gives the ``(B, T, d)`` views
+that ``bmm`` batches over.
 """
 
 from __future__ import annotations
@@ -60,6 +62,29 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
+
+    def __len__(self):
+        return len(self.data)
+
+    def __getitem__(self, key):
+        """The view ``self.data[key]`` for a basic index: integers and slices."""
+        keys = key if isinstance(key, tuple) else (key,)
+        if not all(isinstance(k, (int, slice)) for k in keys):
+            raise ShapeError(f"a tensor index takes integers and slices, got "
+                             f"{key!r}")
+        try:
+            part = self.data[key]
+        except IndexError as exc:
+            raise ShapeError(f"bad index {key!r} of {self.shape}: {exc}") from None
+        if part.size == 0:
+            raise ShapeError(f"index {key!r} of {self.shape} selects nothing")
+
+        def backward(g):
+            gx = np.zeros(self.data.shape)
+            gx[key] = g
+            return (gx,)
+
+        return _wrap(part, (self,), backward)
 
     @property
     def grad(self) -> np.ndarray:
@@ -112,15 +137,7 @@ class Tensor:
                     continue
                 key = id(parent)
                 prev = acc.get(key)
-                if type(pg) is tuple:  # (index, part): d/d parent.data[index]
-                    index, part = pg
-                    if key not in owned:
-                        prev = (np.zeros(parent.data.shape) if prev is None
-                                else prev.copy())
-                        acc[key] = prev
-                        owned.add(key)
-                    prev[index] += part
-                elif prev is None:
+                if prev is None:
                     acc[key] = pg
                 elif key in owned:
                     prev += pg
@@ -165,14 +182,31 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
     return _wrap(a.data @ b.data, (a, b), backward)
 
 
-def swap_last2(x: Tensor) -> Tensor:
-    if x.data.ndim < 2:
-        raise ShapeError(f"swap_last2 needs ndim >= 2, got {x.shape}")
+def transpose(x: Tensor, axes) -> Tensor:
+    """The view of ``x`` with its axes permuted as ``np.transpose(x, axes)``."""
+    axes = tuple(axes)
+    if sorted(axes) != list(range(x.data.ndim)):
+        raise ShapeError(f"transpose axes {axes} do not permute the axes of "
+                         f"{x.shape}")
+    inverse = tuple(np.argsort(axes))
 
     def backward(g):
-        return (np.swapaxes(g, -1, -2),)
+        return (np.transpose(g, inverse),)
 
-    return _wrap(np.swapaxes(x.data, -1, -2), (x,), backward)
+    return _wrap(np.transpose(x.data, axes), (x,), backward)
+
+
+def repeat(x: Tensor, n: int, axis: int) -> Tensor:
+    """``n`` copies of ``x`` stacked along a new axis at position ``axis``."""
+    if n < 1 or not -x.data.ndim - 1 <= axis <= x.data.ndim:
+        raise ShapeError(f"repeat needs n >= 1 and a new axis for {x.shape}, "
+                         f"got n={n}, axis={axis}")
+
+    def backward(g):
+        return (g.sum(axis=axis),)
+
+    return _wrap(np.repeat(np.expand_dims(x.data, axis), n, axis=axis), (x,),
+                 backward)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -200,44 +234,6 @@ def concat(a: Tensor, b: Tensor, axis: int) -> Tensor:
         return g[(*head, slice(None, k))], g[(*head, slice(k, None))]
 
     return _wrap(np.concatenate([a.data, b.data], axis=ax), (a, b), backward)
-
-
-def stack_time(xs) -> Tensor:
-    """Stack T equally shaped (B, d) tensors into (B, T, d)."""
-    xs = list(xs)
-    if not xs:
-        raise ShapeError("stack_time needs at least one tensor")
-    base = xs[0].shape
-    for x in xs:
-        if x.shape != base:
-            raise ShapeError(f"stack_time shape mismatch: {x.shape} vs {base}")
-
-    def backward(g):
-        return tuple(g[:, t] for t in range(len(xs)))
-
-    return _wrap(np.stack([x.data for x in xs], axis=1), tuple(xs), backward)
-
-
-def index(x: Tensor, key) -> Tensor:
-    """The view ``x.data[key]`` for a basic index: integers and slices.
-
-    Its backward rule hands the tape ``(key, g)``, so any number of parts
-    of one tensor add their gradients into a single buffer.
-    """
-    keys = key if isinstance(key, tuple) else (key,)
-    if not all(isinstance(k, (int, slice)) for k in keys):
-        raise ShapeError(f"index takes integers and slices, got {key!r}")
-    try:
-        part = x.data[key]
-    except IndexError as exc:
-        raise ShapeError(f"bad index {key!r} of {x.shape}: {exc}") from None
-    if part.size == 0:
-        raise ShapeError(f"index {key!r} of {x.shape} selects nothing")
-
-    def backward(g):
-        return ((key, g),)
-
-    return _wrap(part, (x,), backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -340,34 +336,34 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _wrap(x.data @ w.data.T + b.data, (x, w, b), backward)
 
 
-def lstm_cell(xs, wx: Tensor, wh: Tensor, b: Tensor,
+def lstm_cell(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
               reverse: bool = False) -> Tensor:
-    """A whole LSTM direction over the (B, D) step inputs ``xs``, as one op.
+    """A whole LSTM direction over the time-major (T, B, D) input ``x``, as
+    one op.
 
-    The direction consumes ``xs`` in order, or last to first when
-    ``reverse``, from a zero state. Each step's gate pre-activations
-    ``x_t @ wx.T + h @ wh.T + b`` have width 4H in the order [input |
-    forget | output | candidate] (the three sigmoid gates share one exp
-    call); ``wx`` is (4H, D), ``wh`` (4H, H) and ``b`` (4H,). Returns the
-    (T·B, H) hidden states in time-major order: row block ``t`` is the
-    state after consuming ``xs[t]``.
+    The direction consumes the steps ``x.data[t]`` in order, or last to
+    first when ``reverse``, from a zero state. Each step's gate
+    pre-activations ``x_t @ wx.T + h @ wh.T + b`` have width 4H in the order
+    [input | forget | output | candidate] (the three sigmoid gates share one
+    exp call); ``wx`` is (4H, D), ``wh`` (4H, H) and ``b`` (4H,). Returns the
+    (T·B, H) hidden states in time-major order: row block ``t`` is the state
+    after consuming step ``t``.
 
     The backward pass runs BPTT inside the op: its time loop computes the
-    gate gradients and ``dX`` step by step, and ``dWx``, ``dWh`` and ``db``
-    are one GEMM or sum each over all steps (the cuDNN recipe, Appleyard et
-    al. 2016). The op computes every step of a direction but keeps the name
-    ``lstm_cell``, which ``bench/tracing.py`` counts rows of.
+    gate gradients and writes ``dX`` step by step into one (T, B, D) array,
+    and ``dWx``, ``dWh`` and ``db`` are one GEMM or sum each over all steps
+    (the cuDNN recipe, Appleyard et al. 2016). The op computes every step of
+    a direction but keeps the name ``lstm_cell``, which
+    ``bench/tracing.py`` counts rows of.
     """
     hdim = wh.shape[-1]
-    if (not xs or xs[0].data.ndim != 2
-            or any(x.shape != xs[0].shape for x in xs)
-            or wx.shape != (4 * hdim, xs[0].shape[1])
+    if (x.data.ndim != 3 or len(x) == 0
+            or wx.shape != (4 * hdim, x.shape[2])
             or wh.shape != (4 * hdim, hdim) or b.shape != (4 * hdim,)):
-        steps = sorted({x.shape for x in xs})
-        raise ShapeError(f"lstm_cell shapes incompatible: {len(xs)} steps x "
-                         f"{steps}, Wx {wx.shape}, Wh {wh.shape}, b {b.shape}")
-    t_len, (batch, d_in) = len(xs), xs[0].shape
-    parents = (*xs, wx, wh, b)
+        raise ShapeError(f"lstm_cell shapes incompatible: x {x.shape}, "
+                         f"Wx {wx.shape}, Wh {wh.shape}, b {b.shape}")
+    t_len, batch, d_in = x.shape
+    parents = (x, wx, wh, b)
     track = _grad_enabled and any(p.requires_grad for p in parents)
     order = range(t_len - 1, -1, -1) if reverse else range(t_len)
     hs = np.empty((t_len, batch, hdim))
@@ -380,7 +376,7 @@ def lstm_cell(xs, wx: Tensor, wh: Tensor, b: Tensor,
     h = c = np.zeros((batch, hdim))
     wxt, wht = wx.data.T, wh.data.T
     for t in order:
-        z = xs[t].data @ wxt + h @ wht + b.data
+        z = x.data[t] @ wxt + h @ wht + b.data
         if track:
             act = acts[t]
         np.divide(1.0, 1.0 + np.exp(-z[:, :3 * hdim]), out=act[:, :3 * hdim])
@@ -393,7 +389,7 @@ def lstm_cell(xs, wx: Tensor, wh: Tensor, b: Tensor,
     def backward(g):
         g = g.reshape(t_len, batch, hdim)
         gz = np.empty((t_len, batch, 4 * hdim))
-        gxs = [None] * t_len
+        gx = np.empty((t_len, batch, d_in))
         first = order[0]
         gh_rec = gc_next = None
         for t in reversed(order):
@@ -411,29 +407,30 @@ def lstm_cell(xs, wx: Tensor, wh: Tensor, b: Tensor,
                 gzt[:, hdim:2 * hdim] = gc * c_prev * f * (1.0 - f)
             gzt[:, 2 * hdim:3 * hdim] = gh * th * o * (1.0 - o)
             gzt[:, 3 * hdim:] = gc * i * (1.0 - g_ * g_)
-            gxs[t] = gzt @ wx.data
+            np.matmul(gzt, wx.data, out=gx[t])
             gh_rec = gzt @ wh.data
             gc_next = gc * f
-        x_all = np.stack([x.data for x in xs]).reshape(t_len * batch, d_in)
         gz_all = gz.reshape(t_len * batch, 4 * hdim)
         # h before step t is hs[t - 1] (forward) or hs[t + 1] (reverse)
         gz_rec, h_prev = (gz[:-1], hs[1:]) if reverse else (gz[1:], hs[:-1])
         gwh = gz_rec.reshape(-1, 4 * hdim).T @ h_prev.reshape(-1, hdim)
-        return (*gxs, gz_all.T @ x_all, gwh, gz_all.sum(axis=0))
+        return (gx, gz_all.T @ x.data.reshape(t_len * batch, d_in), gwh,
+                gz_all.sum(axis=0))
 
     return _wrap(hs.reshape(t_len * batch, hdim), parents, backward)
 
 
 def gather_cols(table: Tensor, idx: np.ndarray) -> Tensor:
-    """Rows of the output are the indexed columns of ``table`` (d, V).
+    """The columns of ``table`` (d, V) at the indices ``idx``, as rows.
 
-    The table must be a leaf parameter; its gradient is scatter-added in
-    place so large vocabularies never materialize dense per-op buffers.
+    The output has shape ``idx.shape + (d,)``: a (T, B) index array gives a
+    time-major (T, B, d) sequence. The table must be a leaf parameter; its
+    gradient is scatter-added in place so large vocabularies never
+    materialize dense per-op buffers.
     """
     idx = np.asarray(idx, dtype=np.int64)
-    if table.data.ndim != 2 or idx.ndim != 1:
-        raise ShapeError(f"gather_cols needs a (d,V) table and flat indices, "
-                         f"got {table.shape} and {idx.shape}")
+    if table.data.ndim != 2:
+        raise ShapeError(f"gather_cols needs a (d,V) table, got {table.shape}")
     if table._parents:
         raise ContractError("gather_cols table must be a leaf parameter")
 
@@ -441,4 +438,4 @@ def gather_cols(table: Tensor, idx: np.ndarray) -> Tensor:
         np.add.at(table.grad.T, idx, g)
         return (None,)
 
-    return _wrap(table.data[:, idx].T, (table,), backward)
+    return _wrap(table.data.T[idx], (table,), backward)

@@ -125,6 +125,22 @@ class TestTrain:
         assert len((out / "history.jsonl").read_text().splitlines()) == 1
         assert (out / "run.manifest.json").exists()
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--blstm", "-2", "blstm_dim"), ("--blstm", "0", "blstm_dim"),
+        ("--d-e", "-3", "d_e"), ("--d-e", "0", "d_e")])
+    def test_bad_model_width_is_validation_error(self, tmp_path, capsys, flag,
+                                                 value, field):
+        corpus = tmp_path / "c.jsonl"
+        run("synth", "--n", "20", "--task", "compat", "--seed", "5",
+            "--out", str(corpus))
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert run(*train_args(corpus, out, **{flag: value})) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("validation error:") and field in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_corpus_validation_before_training(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"id": "1"}\n')

@@ -17,14 +17,14 @@ def zeroed_layer(input_dim, output_dim, seed=0):
     return layer
 
 
-def as_steps(x):
-    """(T, d) array -> list of T single-row (1, d) step tensors."""
-    return [tc.constant(row[None]) for row in np.asarray(x)]
+def as_seq(x):
+    """(T, d) array -> time-major (T, 1, d) sequence tensor of one row."""
+    return tc.constant(np.asarray(x)[:, None])
 
 
 def seq_matrix(layer, x):
     """(T, d_out) matrix of a BLSTM's per-step outputs over one sequence."""
-    return np.concatenate([h.data for h in layer.seq(as_steps(x))])
+    return layer.seq(as_seq(x)).data[:, 0]
 
 
 def tensors_made(fn):
@@ -63,6 +63,15 @@ class TestEmbedding:
         grad[:, 3] = 0.0
         np.testing.assert_array_equal(grad, np.zeros((5, 8)))
 
+    def test_index_array_gives_time_major_sequence(self):
+        table = EmbeddingTable.random(5, 8, np.random.default_rng(4))
+        idx = np.array([[1, 2, 3], [4, 0, 7]])
+        out = table.lookup(idx)
+        assert out.shape == (2, 3, 5)
+        for t, b in np.ndindex(idx.shape):
+            np.testing.assert_array_equal(out.data[t, b],
+                                          table.table.data[:, idx[t, b]])
+
     def test_out_of_vocab_index_rejected(self):
         table = EmbeddingTable.random(4, 6, np.random.default_rng(3))
         with pytest.raises(VocabError):
@@ -79,9 +88,9 @@ class TestBLSTM:
         rng = np.random.default_rng(4)
         layer = BLSTMLayer(3, 4, rng)
         x = rng.standard_normal((1, 3))
-        seq = layer.seq(as_steps(x))
-        pool = layer.pool(as_steps(x))
-        np.testing.assert_allclose(seq[0].data, pool.data)
+        seq = layer.seq(as_seq(x))
+        pool = layer.pool(as_seq(x))
+        np.testing.assert_allclose(seq.data[0], pool.data)
 
     def test_reversal_symmetry(self):
         rng = np.random.default_rng(5)
@@ -100,14 +109,14 @@ class TestBLSTM:
         layer = BLSTMLayer(4, 6, rng)
         x = rng.standard_normal((7, 4))
         seq = seq_matrix(layer, x)
-        pool = layer.pool(as_steps(x)).data[0]
+        pool = layer.pool(as_seq(x)).data[0]
         np.testing.assert_allclose(pool[:3], seq[-1, :3])
         np.testing.assert_allclose(pool[3:], seq[0, 3:])
 
     def test_pool_output_length(self):
         rng = np.random.default_rng(7)
         layer = BLSTMLayer(4, 6, rng)
-        assert layer.pool(as_steps(rng.standard_normal((5, 4)))).shape == (1, 6)
+        assert layer.pool(as_seq(rng.standard_normal((5, 4)))).shape == (1, 6)
 
     def test_outputs_bounded_below_one(self):
         for seed in range(5):
@@ -118,37 +127,34 @@ class TestBLSTM:
 
     @pytest.mark.parametrize("t_len", [1, 4, 9])
     def test_one_op_per_direction_step(self, t_len):
-        # one lstm_cell op per direction whatever the length; seq adds one
-        # concat and a row view per step, pool two views and a concat
+        # one lstm_cell op per direction whatever the length; seq adds a
+        # concat and a reshape, pool two row views and a concat
         rng = np.random.default_rng(t_len)
         layer = BLSTMLayer(3, 4, rng)
-        xs = as_steps(rng.standard_normal((t_len, 3)))
-        assert tensors_made(lambda: layer.fw.run(xs)) == 1
-        assert tensors_made(lambda: layer.seq(xs)) == t_len + 3
-        assert tensors_made(lambda: layer.pool(xs)) == 5
+        x = as_seq(rng.standard_normal((t_len, 3)))
+        assert tensors_made(lambda: layer.fw.run(x)) == 1
+        assert tensors_made(lambda: layer.seq(x)) == 4
+        assert tensors_made(lambda: layer.pool(x)) == 5
 
     def test_empty_sequence_rejected(self):
         layer = BLSTMLayer(3, 4, np.random.default_rng(0))
         for call in (layer.seq, layer.pool):
-            with pytest.raises(ShapeError, match="0 steps"):
-                call([])
+            with pytest.raises(ShapeError, match=r"x \(0, 1, 3\)"):
+                call(tc.constant(np.zeros((0, 1, 3))))
 
     def test_batched_seq_gradients_match_finite_differences(self):
         rng = np.random.default_rng(12)
         layer = BLSTMLayer(3, 4, rng)
-        xs = [tc.parameter(rng.standard_normal((2, 3))) for _ in range(3)]
-        w = [tc.constant(rng.standard_normal((2, 4))) for _ in range(4)]
+        x = tc.parameter(rng.standard_normal((3, 2, 3)))
+        w_seq = tc.constant(rng.standard_normal((3, 2, 4)))
+        w_pool = tc.constant(rng.standard_normal((2, 4)))
 
         def build():
-            seq = layer.seq(xs)
-            terms = [tc.mul(h, v) for h, v in zip(seq + [layer.pool(xs)], w)]
-            total = tc.tensor_sum(terms[0])
-            for term in terms[1:]:
-                total = tc.add(total, tc.tensor_sum(term))
-            return total
+            return tc.add(tc.tensor_sum(tc.mul(layer.seq(x), w_seq)),
+                          tc.tensor_sum(tc.mul(layer.pool(x), w_pool)))
 
         build().backward()
-        for t in (*xs, *layer.params("x").values()):
+        for t in (x, *layer.params("x").values()):
             fd = fd_gradient(lambda: build().item(), t.data)
             assert max_rel_err(t.grad, fd) <= 1e-5
 

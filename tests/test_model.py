@@ -59,7 +59,7 @@ def record_layers(model, monkeypatch):
 
 
 def blstm_call(calls, name):
-    """(input steps, output) of the one recorded call of a BLSTM method."""
+    """(input sequence, output) of the one recorded call of a BLSTM method."""
     ((args, out),) = calls[name]
     return args[0], out
 
@@ -69,7 +69,8 @@ MALFORMED_CHECKPOINTS = ("cut_in_manifest_length", "non_json_manifest",
                          "unknown_config_key", "labels_of_another_task",
                          "param_without_name", "vocab_tokens_not_a_list",
                          "params_not_a_list", "shape_not_a_list",
-                         "extra_not_an_object")
+                         "extra_not_an_object", "width_not_an_integer",
+                         "width_zero")
 
 
 def spoil_checkpoint(path, how):
@@ -98,6 +99,10 @@ def spoil_checkpoint(path, how):
         manifest["params"][0]["shape"] = 5
     elif how == "extra_not_an_object":
         manifest["extra"] = [1]
+    elif how == "width_not_an_integer":
+        manifest["config"]["d_e"] = float(manifest["config"]["d_e"])
+    elif how == "width_zero":
+        manifest["config"]["blstm_dim"] = 0
     doctored = text.get(how, json.dumps(manifest).encode())
     path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(doctored))
                      + doctored + blob[head + 4 + mlen:])
@@ -149,12 +154,19 @@ class TestBuild:
         # without attention the second question BLSTM reads the first's output
         _, hq1 = blstm_call(calls, "ctx1_q.seq")
         hq2, _ = blstm_call(calls, "ctx2_q.seq")
-        for a, b in zip(hq1, hq2, strict=True):
-            np.testing.assert_array_equal(b.data, a.data)
+        np.testing.assert_array_equal(hq2.data, hq1.data)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError):
             ModelConfig(variant="transformer")
+
+    @pytest.mark.parametrize("field, value", [
+        ("d_e", 0), ("d_e", -3), ("d_e", 8.0), ("d_e", True),
+        ("blstm_dim", 0), ("blstm_dim", -2), ("blstm_dim", 4.0),
+        ("t_q", 0), ("t_a", -1), ("t_a", "6")])
+    def test_bad_width_names_its_field(self, field, value):
+        with pytest.raises(ConfigError, match=rf"{field} must be an integer"):
+            ModelConfig(**{field: value})
 
     def test_coattention_has_both_contexts_only(self, monkeypatch):
         cfg, vocab, examples = micro_setup("qa-coattention")
@@ -189,11 +201,11 @@ class TestForward:
         assert pq.shape == (b * cfg.t_q, len(cfg.space))
         np.testing.assert_allclose(pq.data.sum(axis=-1), 1.0, atol=1e-9)
         hq2, _ = blstm_call(calls, "ctx2_q.seq")
-        assert [h.shape for h in hq2] == [(b, 2 * n)] * cfg.t_q
+        assert hq2.shape == (cfg.t_q, b, 2 * n)
         _, ha3 = blstm_call(calls, "ctx2_a.pool")
         assert ha3.shape == (b, n)
         _, hqa = blstm_call(calls, "ctx1_qa.seq")
-        assert [h.shape for h in hqa] == [(b, n)] * (cfg.t_q + cfg.t_a)
+        assert hqa.shape == (cfg.t_q + cfg.t_a, b, n)
 
     def test_story_is_question_then_answer(self, monkeypatch):
         """The story BLSTM reads the question embeddings, then the answer's."""
@@ -205,8 +217,8 @@ class TestForward:
         ea, _ = blstm_call(calls, "ctx1_a.seq")
         eqa, _ = blstm_call(calls, "ctx1_qa.seq")
         assert len(eqa) == cfg.t_q + cfg.t_a
-        for a, b in zip(eq + ea, eqa, strict=True):
-            np.testing.assert_array_equal(b.data, a.data)
+        np.testing.assert_array_equal(eqa.data,
+                                      np.concatenate([eq.data, ea.data]))
 
     def test_pad_only_answer_still_valid(self):
         cfg, vocab, examples = micro_setup()

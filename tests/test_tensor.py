@@ -11,21 +11,22 @@ from danqa.errors import ContractError, DomainError, ShapeError
 from util import fd_gradient, max_rel_err, reference_direction
 
 
-def gate_step(zs):
-    """``lstm_cell`` over the (B, 4H) step tensors or arrays ``zs`` with an
-    identity input map and no recurrence or bias, so ``zs[t]`` is the gate
+def gate_step(z):
+    """``lstm_cell`` over the (T, B, 4H) tensor or array ``z`` with an
+    identity input map and no recurrence or bias, so ``z[t]`` is the gate
     pre-activation of step t."""
-    zs = [z if isinstance(z, tc.Tensor) else tc.constant(z) for z in zs]
-    hdim = zs[0].shape[1] // 4
-    return tc.lstm_cell(zs, tc.constant(np.eye(4 * hdim)),
+    z = z if isinstance(z, tc.Tensor) else tc.constant(np.asarray(z, float))
+    hdim = z.shape[2] // 4
+    return tc.lstm_cell(z, tc.constant(np.eye(4 * hdim)),
                         tc.constant(np.zeros((4 * hdim, hdim))),
                         tc.constant(np.zeros(4 * hdim)))
 
 
 def lstm_inputs(rng, t_len, batch=3, d_in=4, hdim=2, scale=1.0):
-    """Random step inputs and weights for an ``lstm_cell`` call, as arrays."""
-    xs = [scale * rng.standard_normal((batch, d_in)) for _ in range(t_len)]
-    return (xs, scale * rng.standard_normal((4 * hdim, d_in)),
+    """A random (T, B, D) input and weights for an ``lstm_cell`` call, as
+    arrays."""
+    x = scale * rng.standard_normal((t_len, batch, d_in))
+    return (x, scale * rng.standard_normal((4 * hdim, d_in)),
             scale * rng.standard_normal((4 * hdim, hdim)),
             scale * rng.standard_normal(4 * hdim))
 
@@ -125,8 +126,7 @@ class TestConcat:
         a = tc.parameter(rng.standard_normal((3, 4)))
         b = tc.parameter(rng.standard_normal((3, 2)))
         joined = tc.concat(a, b, axis=1)
-        back_a = tc.index(joined, (slice(None), slice(0, 4)))
-        back_b = tc.index(joined, (slice(None), slice(4, 6)))
+        back_a, back_b = joined[:, 0:4], joined[:, 4:6]
         np.testing.assert_array_equal(back_a.data, a.data)
         np.testing.assert_array_equal(back_b.data, b.data)
         tc.tensor_sum(back_a).backward()
@@ -135,12 +135,11 @@ class TestConcat:
 
 
 class TestIndex:
-    """``index`` views; the tape adds their ``(index, part)`` gradients."""
+    """``x[key]`` views; their dense gradients add with every other one."""
 
     def test_overlapping_slices_add(self):
         x = tc.parameter(np.zeros((4, 3)))
-        tc.add(tc.tensor_sum(tc.index(x, slice(0, 3))),
-               tc.tensor_sum(tc.index(x, slice(1, 4)))).backward()
+        tc.add(tc.tensor_sum(x[0:3]), tc.tensor_sum(x[1:4])).backward()
         np.testing.assert_array_equal(x.grad, np.repeat([[1.], [2.], [2.], [1.]],
                                                         3, axis=1))
 
@@ -157,8 +156,7 @@ class TestIndex:
         z = tc.mul(other, tc.constant(np.full((4, 3), 3.0)))
 
         def part():
-            return tc.tensor_sum(tc.mul(tc.index(y, slice(1, 3)),
-                                        tc.constant(w_part)))
+            return tc.tensor_sum(tc.mul(y[1:3], tc.constant(w_part)))
 
         def full():
             return tc.tensor_sum(tc.mul(tc.add(y, z), tc.constant(w_full)))
@@ -173,9 +171,8 @@ class TestIndex:
     def test_leaf_parameter_gets_parts(self):
         x = tc.parameter(np.zeros((3, 4)))
         w = np.arange(3.0)
-        loss = tc.add(tc.tensor_sum(tc.mul(tc.index(x, (slice(None), 1)),
-                                           tc.constant(w))),
-                      tc.tensor_sum(tc.index(x, (0, slice(0, 2)))))
+        loss = tc.add(tc.tensor_sum(tc.mul(x[:, 1], tc.constant(w))),
+                      tc.tensor_sum(x[0, 0:2]))
         loss.backward()
         expected = np.zeros((3, 4))
         expected[:, 1] = w
@@ -186,17 +183,68 @@ class TestIndex:
 
     def test_value_is_the_numpy_view(self):
         x = tc.constant(np.arange(24.0).reshape(2, 3, 4))
-        np.testing.assert_array_equal(tc.index(x, (slice(None), 2)).data,
-                                      x.data[:, 2])
+        np.testing.assert_array_equal(x[:, 2].data, x.data[:, 2])
 
     def test_bad_keys_name_the_shape(self):
         x = tc.constant(np.zeros((4, 3)))
         with pytest.raises(ShapeError, match="integers and slices"):
-            tc.index(x, [0, 1])
+            x[[0, 1]]
         with pytest.raises(ShapeError, match=r"\(4, 3\)"):
-            tc.index(x, (slice(None), 5))
+            x[:, 5]
         with pytest.raises(ShapeError, match=r"of \(4, 3\) selects nothing"):
-            tc.index(x, slice(2, 2))
+            x[2:2]
+
+    def test_length_reads_the_time_and_batch_extents(self):
+        # bench/tracing.py sizes each BLSTM call as 2 * len(x) * x[0].shape[0]
+        x = tc.constant(np.zeros((5, 3, 2)))
+        assert len(x) * x[0].shape[0] == 5 * 3
+        with pytest.raises(TypeError):
+            len(tc.constant(1.0))
+
+
+class TestTransposeRepeat:
+    """The two sequence-layout ops: axis permutation and repetition."""
+
+    def test_transpose_matches_numpy_and_finite_differences(self):
+        rng = np.random.default_rng(19)
+        x = tc.parameter(rng.standard_normal((2, 3, 4)))
+        w = tc.constant(rng.standard_normal((4, 2, 3)))
+        np.testing.assert_array_equal(tc.transpose(x, (2, 0, 1)).data,
+                                      np.transpose(x.data, (2, 0, 1)))
+
+        def build():
+            return tc.tensor_sum(tc.mul(tc.transpose(x, (2, 0, 1)), w))
+
+        build().backward()
+        assert max_rel_err(x.grad, fd_gradient(lambda: build().item(),
+                                               x.data)) <= 1e-6
+
+    def test_transpose_needs_a_permutation(self):
+        with pytest.raises(ShapeError, match=r"\(0, 0\).*\(2, 3\)"):
+            tc.transpose(tc.constant(np.zeros((2, 3))), (0, 0))
+
+    @pytest.mark.parametrize("axis", [0, 1, 2, -1])
+    def test_repeat_copies_and_sums_back(self, axis):
+        rng = np.random.default_rng(20)
+        x = tc.parameter(rng.standard_normal((2, 3)))
+        out = tc.repeat(x, 4, axis=axis)
+        assert out.shape[axis] == 4
+        for k in range(4):
+            np.testing.assert_array_equal(np.take(out.data, k, axis=axis),
+                                          x.data)
+        w = tc.constant(rng.standard_normal(out.shape))
+
+        def build():
+            return tc.tensor_sum(tc.mul(tc.repeat(x, 4, axis=axis), w))
+
+        build().backward()
+        np.testing.assert_allclose(x.grad, w.data.sum(axis=axis), rtol=1e-15)
+        assert max_rel_err(x.grad, fd_gradient(lambda: build().item(),
+                                               x.data)) <= 1e-6
+
+    def test_repeat_needs_a_new_axis(self):
+        with pytest.raises(ShapeError, match=r"\(2, 3\)"):
+            tc.repeat(tc.constant(np.zeros((2, 3))), 2, axis=3)
 
 
 class TestPointwise:
@@ -205,14 +253,14 @@ class TestPointwise:
     def test_sigmoid_zero(self):
         # z = 0 opens every sigmoid gate half way: step 1 writes
         # c1 = 0.5 * tanh(2), step 2 keeps c2 = 0.5 * c1, and h = 0.5 * tanh(c)
-        h = gate_step([[[0.0, 0.0, 0.0, 2.0]], np.zeros((1, 4))]).data
+        h = gate_step([[[0.0, 0.0, 0.0, 2.0]], [[0.0, 0.0, 0.0, 0.0]]]).data
         c1 = 0.5 * np.tanh(2.0)
         assert h[0, 0] == 0.5 * np.tanh(c1)
         assert h[1, 0] == 0.5 * np.tanh(0.5 * c1)
 
     def test_tanh_zero(self):
         # zero pre-activations and cell give a zero candidate, cell and state
-        h = gate_step([np.zeros((1, 4))] * 3)
+        h = gate_step(np.zeros((3, 1, 4)))
         np.testing.assert_array_equal(h.data, np.zeros((3, 1)))
 
     def test_binary_shape_mismatch(self):
@@ -328,8 +376,8 @@ class TestBackward:
             rng = np.random.default_rng(6)
             a = tc.parameter(rng.standard_normal((1, 5, 5)))
             b = tc.parameter(rng.standard_normal((1, 5, 20)))
-            z = tc.reshape(tc.bmm(a, b), (5, 20))
-            h = gate_step([z, tc.mul(z, z)])
+            z = tc.reshape(tc.bmm(a, b), (1, 5, 20))
+            h = gate_step(tc.concat(z, tc.mul(z, z), axis=0))
             out = tc.softmax_rows(tc.concat(h, tc.mul(h, h), axis=1))
             tc.tensor_sum(out).backward()
             return a.grad.copy(), b.grad.copy()
@@ -344,17 +392,15 @@ class TestFusedOps:
     def test_lstm_cell_matches_finite_differences(self):
         for t_len, reverse in itertools.product((1, 3), (False, True)):
             rng = np.random.default_rng(7 + t_len)
-            xs, wx, wh, b = lstm_inputs(rng, t_len)
-            xs = [tc.parameter(x) for x in xs]
-            wx, wh, b = tc.parameter(wx), tc.parameter(wh), tc.parameter(b)
+            x, wx, wh, b = (tc.parameter(a) for a in lstm_inputs(rng, t_len))
             v = tc.constant(rng.standard_normal((3 * t_len, 2)))
 
             def build():
                 return tc.tensor_sum(
-                    tc.mul(tc.lstm_cell(xs, wx, wh, b, reverse=reverse), v))
+                    tc.mul(tc.lstm_cell(x, wx, wh, b, reverse=reverse), v))
 
             build().backward()
-            for t in (*xs, wx, wh, b):
+            for t in (x, wx, wh, b):
                 fd = fd_gradient(lambda: build().item(), t.data)
                 assert max_rel_err(t.grad, fd) <= 1e-5, (t_len, reverse)
 
@@ -362,35 +408,31 @@ class TestFusedOps:
         # gate pre-activations as inputs: the candidate, the cell carried
         # through the forget gate and the output gate each get a gradient
         rng = np.random.default_rng(9)
-        zs = [tc.parameter(rng.standard_normal((3, 8))) for _ in range(3)]
+        z = tc.parameter(rng.standard_normal((3, 3, 8)))
         w = tc.constant(rng.standard_normal((9, 2)))
 
         def build():
-            return tc.tensor_sum(tc.mul(gate_step(zs), w))
+            return tc.tensor_sum(tc.mul(gate_step(z), w))
 
         build().backward()
-        assert np.all(zs[0].grad[:, 2:4] == 0.0)  # no cell before step 0
-        assert np.all(zs[0].grad[:, [0, 1, 4, 5, 6, 7]] != 0.0)
-        for z in zs[1:]:
-            assert np.all(z.grad != 0.0)
-        for z in zs:
-            assert max_rel_err(z.grad, fd_gradient(lambda: build().item(),
-                                                   z.data)) <= 1e-5
+        assert np.all(z.grad[0, :, 2:4] == 0.0)  # no cell before step 0
+        assert np.all(z.grad[0, :, [0, 1, 4, 5, 6, 7]] != 0.0)
+        assert np.all(z.grad[1:] != 0.0)
+        assert max_rel_err(z.grad, fd_gradient(lambda: build().item(),
+                                               z.data)) <= 1e-5
 
     def test_lstm_cell_shape_error_names_the_shapes(self):
-        x = tc.constant(np.zeros((3, 4)))
+        x = tc.constant(np.zeros((1, 3, 4)))
         wx, b = tc.constant(np.zeros((8, 4))), tc.constant(np.zeros(8))
-        with pytest.raises(ShapeError, match=r"\(3, 4\).*Wh \(8, 3\)"):
-            tc.lstm_cell([x], wx, tc.constant(np.zeros((8, 3))), b)
-        with pytest.raises(ShapeError,
-                           match=r"2 steps x \[\(2, 4\), \(3, 4\)\]"):
-            tc.lstm_cell([x, tc.constant(np.zeros((2, 4)))], wx,
-                         tc.constant(np.zeros((8, 2))), b)
-        with pytest.raises(ShapeError, match=r"0 steps x \[\], Wx \(8, 4\)"):
-            tc.lstm_cell([], wx, tc.constant(np.zeros((8, 2))), b)
+        wh = tc.constant(np.zeros((8, 2)))
+        with pytest.raises(ShapeError, match=r"x \(1, 3, 4\).*Wh \(8, 3\)"):
+            tc.lstm_cell(x, wx, tc.constant(np.zeros((8, 3))), b)
+        with pytest.raises(ShapeError, match=r"x \(3, 4\), Wx \(8, 4\)"):
+            tc.lstm_cell(tc.constant(np.zeros((3, 4))), wx, wh, b)
+        with pytest.raises(ShapeError, match=r"x \(0, 3, 4\), Wx \(8, 4\)"):
+            tc.lstm_cell(tc.constant(np.zeros((0, 3, 4))), wx, wh, b)
         with pytest.raises(ShapeError, match=r"b \(4,\)"):
-            tc.lstm_cell([x], wx, tc.constant(np.zeros((8, 2))),
-                         tc.constant(np.zeros(4)))
+            tc.lstm_cell(x, wx, wh, tc.constant(np.zeros(4)))
 
     @settings(max_examples=40, deadline=None)
     @given(t_len=st.integers(1, 5), batch=st.integers(1, 4),
@@ -399,18 +441,17 @@ class TestFusedOps:
            scale=st.sampled_from([0.1, 1.0, 3.0]))
     def test_lstm_cell_matches_reference_step(self, t_len, batch, d_in, hdim,
                                               seed, reverse, scale):
-        xs, wx, wh, b = lstm_inputs(np.random.default_rng(seed), t_len,
-                                    batch, d_in, hdim, scale)
-        got = tc.lstm_cell([tc.constant(x) for x in xs], tc.constant(wx),
-                           tc.constant(wh), tc.constant(b), reverse=reverse)
+        x, wx, wh, b = lstm_inputs(np.random.default_rng(seed), t_len,
+                                   batch, d_in, hdim, scale)
+        got = tc.lstm_cell(*(tc.constant(a) for a in (x, wx, wh, b)),
+                           reverse=reverse)
         np.testing.assert_allclose(
-            got.data, reference_direction(xs, wx, wh, b, reverse),
+            got.data, reference_direction(x, wx, wh, b, reverse),
             rtol=0, atol=1e-12)
 
     def test_lstm_cell_records_no_buffers_without_grad(self):
-        xs, wx, wh, b = lstm_inputs(np.random.default_rng(10), 4)
-        args = ([tc.parameter(x) for x in xs], tc.parameter(wx),
-                tc.parameter(wh), tc.parameter(b))
+        args = [tc.parameter(a)
+                for a in lstm_inputs(np.random.default_rng(10), 4)]
         with tc.no_grad():
             plain = tc.lstm_cell(*args)
         assert plain._backward is None
@@ -436,11 +477,11 @@ def test_every_op_gradient_over_twenty_seeds():
 
         def build():
             m = tc.reshape(tc.bmm(x, y), (3, 12))
-            swapped = tc.concat(tc.index(m, (slice(None), slice(6, None))),
-                                tc.index(m, (slice(None), slice(0, 6))), axis=1)
-            h = gate_step([m, swapped])
-            steps = [tc.index(h, slice(0, 3)), tc.index(h, slice(3, 6))]
-            s = tc.softmax_rows(tc.reshape(tc.stack_time(steps), (3, 6)))
+            swapped = tc.concat(m[:, 6:], m[:, :6], axis=1)
+            h = gate_step(tc.reshape(tc.concat(m, swapped, axis=0), (2, 3, 12)))
+            seq = tc.transpose(tc.reshape(h, (2, 3, 3)), (1, 0, 2))
+            last = tc.repeat(h[3:6], 2, axis=1)
+            s = tc.softmax_rows(tc.reshape(tc.add(seq, last), (3, 6)))
             return tc.tensor_sum(tc.mul(s, w))
 
         build().backward()
