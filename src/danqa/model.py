@@ -50,8 +50,7 @@ class ModelConfig:
             )
         for name, low in (("d_e", 1), ("blstm_dim", 2), ("t_q", 1), ("t_a", 1)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) \
-                    or value < low:
+            if type(value) is not int or value < low:  # bool is not int here
                 raise ConfigError(f"{name} must be an integer >= {low}, got "
                                   f"{value!r}")
         if self.blstm_dim % 2 != 0:

@@ -66,12 +66,14 @@ class Tensor:
     def __len__(self):
         return len(self.data)
 
+    # x[t] past the end raises ShapeError, which would not end a for loop
+    __iter__ = None
+
     def __getitem__(self, key):
         """The view ``self.data[key]`` for a basic index: integers and slices."""
         keys = key if isinstance(key, tuple) else (key,)
         if not all(isinstance(k, (int, slice)) for k in keys):
-            raise ShapeError(f"a tensor index takes integers and slices, got "
-                             f"{key!r}")
+            raise ShapeError(f"index takes integers and slices, got {key!r}")
         try:
             part = self.data[key]
         except IndexError as exc:

@@ -200,6 +200,8 @@ class TestIndex:
         assert len(x) * x[0].shape[0] == 5 * 3
         with pytest.raises(TypeError):
             len(tc.constant(1.0))
+        with pytest.raises(TypeError, match="not iterable"):
+            list(x)
 
 
 class TestTransposeRepeat:
