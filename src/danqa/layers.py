@@ -1,9 +1,10 @@
 """Reusable network layers: embeddings, BLSTMs, attention, dense head.
 
-A sequence is one time-major ``(T, B, d)`` tensor. An embedding lookup of a
-``(T, B)`` index array returns one; a BLSTM consumes one and runs each
-direction as one ``tc.lstm_cell`` op over the whole sequence. Attention
-takes batch-first ``(B, T, d)`` views, which ``tc.transpose`` makes.
+A sequence is one time-major ``(T, B, d)`` tensor. A BLSTM runs both
+directions as one ``tc.lstm_cell`` op over the whole sequence; a first-layer
+BLSTM reads the ``(T, B)`` token ids instead and embeds each distinct token
+once. Attention takes batch-first ``(B, T, d)`` views, which
+``tc.transpose`` makes.
 """
 
 from __future__ import annotations
@@ -60,52 +61,58 @@ class EmbeddingTable:
 
 
 class LSTMDirection:
-    """Parameters of a single-direction LSTM with fused gate weights.
+    """Parameters of one LSTM direction with fused gate weights.
 
-    ``wx`` is (4H, input_dim), ``wh`` (4H, H) and ``b`` (4H,), with the
-    gate blocks in the order [input | forget | output | candidate] that
-    ``tc.lstm_cell`` reads; the forget-gate bias block starts at 1.0.
+    ``wx`` is (4H, input_dim), ``wh`` (4H, H) and ``b`` (4H,), gate blocks
+    [input | forget | output | candidate]; ``BLSTMLayer`` hands them to
+    ``tc.lstm_cell`` as one ``(wx, wh, b)`` triple. The forget bias starts at 1.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, rng):
-        self.input_dim = input_dim
-        self.hidden_dim = hidden_dim
         self.wx = Tensor(glorot(rng, 4 * hidden_dim, input_dim), requires_grad=True)
         self.wh = Tensor(glorot(rng, 4 * hidden_dim, hidden_dim), requires_grad=True)
         bias = np.zeros(4 * hidden_dim)
         bias[hidden_dim:2 * hidden_dim] = 1.0
         self.b = Tensor(bias, requires_grad=True)
 
-    def run(self, x: Tensor, reverse: bool = False) -> Tensor:
-        """The (T·B, H) hidden states over the (T, B, input_dim) sequence
-        ``x``, time-major, from one ``lstm_cell`` op; consumed last to first
-        when ``reverse``, with row block t still the state after step t."""
-        return tc.lstm_cell(x, self.wx, self.wh, self.b, reverse=reverse)
-
 
 class BLSTMLayer:
-    """Bidirectional LSTM; ``output_dim`` is the concatenated fwd+bwd width."""
+    """Bidirectional LSTM; ``output_dim`` is the concatenated fwd+bwd width.
 
-    def __init__(self, input_dim: int, output_dim: int, rng):
+    A layer given an ``embedding`` reads a (T, B) token-id array: it embeds
+    the distinct tokens once and lets ``tc.lstm_cell`` read each step's row
+    from them. Otherwise it reads a time-major (T, B, input_dim) tensor.
+    """
+
+    def __init__(self, input_dim: int, output_dim: int, rng,
+                 embedding: EmbeddingTable | None = None):
         if output_dim % 2 != 0:
             raise ShapeError(f"BLSTM output_dim must be even, got {output_dim}")
         self.input_dim = input_dim
         self.output_dim = output_dim
+        self.embedding = embedding
         self.fw = LSTMDirection(input_dim, output_dim // 2, rng)
         self.bw = LSTMDirection(input_dim, output_dim // 2, rng)
 
-    def seq(self, x: Tensor) -> Tensor:
-        """The (T, B, output_dim) outputs over the (T, B, input_dim)
-        sequence ``x``: [fwd h_t | bwd h_t] at each step t."""
-        both = tc.concat(self.fw.run(x), self.bw.run(x, reverse=True), axis=1)
-        return tc.reshape(both, (*x.shape[:2], self.output_dim))
+    def _run(self, x) -> Tensor:
+        """One ``lstm_cell`` op: (T·B·2, H) states laid out (T, B, 2, H)."""
+        fw, bw = ((d.wx, d.wh, d.b) for d in (self.fw, self.bw))
+        if self.embedding is None:
+            return tc.lstm_cell(x, fw, bw)
+        tokens, idx = np.unique(x, return_inverse=True)
+        return tc.lstm_cell(self.embedding.lookup(tokens), fw, bw,
+                            idx.reshape(x.shape))
 
-    def pool(self, x: Tensor) -> Tensor:
+    def seq(self, x) -> Tensor:
+        """The (T, B, output_dim) outputs over the sequence ``x``:
+        [fwd h_t | bwd h_t] at each step t."""
+        return tc.reshape(self._run(x), (*x.shape[:2], self.output_dim))
+
+    def pool(self, x) -> Tensor:
         """(B, output_dim) sequence vectors: last forward h with first
         backward h."""
-        fwd, bwd = self.fw.run(x), self.bw.run(x, reverse=True)
-        batch = x.shape[1]
-        return tc.concat(fwd[-batch:], bwd[:batch], axis=1)
+        states, batch = self._run(x), x.shape[1]
+        return tc.concat(states[-2 * batch::2], states[1:2 * batch:2], axis=1)
 
     def params(self, prefix: str) -> dict:
         out = {}

@@ -88,11 +88,11 @@ class Model:
         else:
             self.embedding = EmbeddingTable.random(cfg.d_e, vocab_size, rng)
 
-        self.ctx1_q = BLSTMLayer(cfg.d_e, b, rng)
-        self.ctx1_a = BLSTMLayer(cfg.d_e, b, rng)
+        self.ctx1_q = BLSTMLayer(cfg.d_e, b, rng, self.embedding)
+        self.ctx1_a = BLSTMLayer(cfg.d_e, b, rng, self.embedding)
         self.ctx1_qa = None
         if cfg.variant in ("dan", "dan-no-ans-attn"):
-            self.ctx1_qa = BLSTMLayer(cfg.d_e, b, rng)
+            self.ctx1_qa = BLSTMLayer(cfg.d_e, b, rng, self.embedding)
 
         q2_in = b if cfg.variant == "qa-s-blstm" else 2 * b
         a2_in = b if cfg.variant in ("qa-s-blstm", "dan-no-ans-attn") else 2 * b
@@ -129,9 +129,11 @@ class Model:
         """Label distributions of every question position, shape (B·T_q, L).
 
         Row ``b * t_q + t`` belongs to position ``t`` of ``examples[b]``.
-        Each sequence is one time-major (T, B, d) tensor from its embedding
-        lookup to the second BLSTMs; attention reads (B, T, d) views, and
-        the head transposes the question encoding to (B, T_q, d) once.
+        The first BLSTMs read the time-major (T, B) token ids, the story's
+        being the question's then the answer's; from there each sequence is
+        one time-major (T, B, d) tensor up to the second BLSTMs. Attention
+        reads (B, T, d) views, and the head transposes the question encoding
+        to (B, T_q, d) once.
         """
         cfg = self.cfg
         if not examples:
@@ -152,21 +154,19 @@ class Model:
         def swap_time_batch(t):
             return tc.transpose(t, (1, 0, 2))
 
-        xq = np.stack([ex.x_q for ex in examples])
-        xa = np.stack([ex.x_a for ex in examples])
+        xq = np.stack([ex.x_q for ex in examples], axis=1)
+        xa = np.stack([ex.x_a for ex in examples], axis=1)
         qm = np.stack([ex.q_mask for ex in examples])
         am = np.stack([ex.a_mask for ex in examples])
         batch = len(examples)
 
-        eq = self.embedding.lookup(xq.T)
-        ea = self.embedding.lookup(xa.T)
-        hq1 = drop(self.ctx1_q.seq(eq))
-        ha1 = drop(self.ctx1_a.seq(ea))
+        hq1 = drop(self.ctx1_q.seq(xq))
+        ha1 = drop(self.ctx1_a.seq(xa))
 
         cq = ca = None
         if self.ctx1_qa is not None:
             story = swap_time_batch(
-                drop(self.ctx1_qa.seq(tc.concat(eq, ea, axis=0))))
+                drop(self.ctx1_qa.seq(np.concatenate([xq, xa]))))
             mask = np.concatenate([qm, am], axis=1)
             cq, _ = layers.attend_step(swap_time_batch(hq1), story, mask)
             if cfg.variant == "dan":

@@ -13,9 +13,9 @@ A backward rule returns one gradient per parent: ``None`` or an array of
 the parent's shape. Rules may return views of their incoming gradient: the
 tape mutates only the buffers it allocated itself.
 
-Sequences are single time-major ``(T, B, d)`` tensors: ``lstm_cell`` reads
-step ``t`` as ``x.data[t]``, and ``transpose`` gives the ``(B, T, d)`` views
-that ``bmm`` batches over.
+Sequences are single time-major ``(T, B, d)`` tensors, or for ``lstm_cell``
+``(U, d)`` rows and a ``(T, B)`` index into them; ``transpose`` gives the
+``(B, T, d)`` views that ``bmm`` batches over.
 """
 
 from __future__ import annotations
@@ -338,97 +338,119 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _wrap(x.data @ w.data.T + b.data, (x, w, b), backward)
 
 
-def lstm_cell(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
-              reverse: bool = False) -> Tensor:
-    """A whole LSTM direction over the time-major (T, B, D) input ``x``, as
-    one op.
+def lstm_cell(x: Tensor, fw, bw, idx=None) -> Tensor:
+    """Both directions of a BLSTM layer over one sequence, as one op.
 
-    The direction consumes the steps ``x.data[t]`` in order, or last to
-    first when ``reverse``, from a zero state. Each step's gate
-    pre-activations ``x_t @ wx.T + h @ wh.T + b`` have width 4H in the order
-    [input | forget | output | candidate] (the three sigmoid gates share one
-    exp call); ``wx`` is (4H, D), ``wh`` (4H, H) and ``b`` (4H,). Returns the
-    (T·B, H) hidden states in time-major order: row block ``t`` is the state
-    after consuming step ``t``.
+    ``fw`` and ``bw`` are ``(wx, wh, b)`` triples, ``wx`` (4H, D), ``wh``
+    (4H, H) and ``b`` (4H,), with gate blocks [input | forget | output |
+    candidate]. Step (t, b) reads ``x.data[t, b]`` of a time-major (T, B, D)
+    ``x`` or, given a (T, B) int array ``idx``, row ``idx[t, b]`` of (U, D)
+    rows ``x``. One time loop advances the forward direction from the first
+    step and the backward one from the last, as stacked (2, B, ·) states.
+    Returns the (T·B·2, H) states laid out (T, B, 2, H): [t, b, d] is
+    direction d's state after step t.
 
-    The backward pass runs BPTT inside the op: its time loop computes the
-    gate gradients and writes ``dX`` step by step into one (T, B, D) array,
-    and ``dWx``, ``dWh`` and ``db`` are one GEMM or sum each over all steps
-    (the cuDNN recipe, Appleyard et al. 2016). The op computes every step of
-    a direction but keeps the name ``lstm_cell``, which
-    ``bench/tracing.py`` counts rows of.
+    Both directions' input projections are one GEMM over the rows of ``x``,
+    not kept for backward, which runs BPTT per step and then forms ``dX``
+    and ``dWx`` with one GEMM each (Appleyard et al. 2016); with ``idx`` it
+    first sums the gate gradients per row of ``x``. ``bench/tracing.py``
+    counts the rows of the op by its name ``lstm_cell``.
     """
-    hdim = wh.shape[-1]
-    if (x.data.ndim != 3 or len(x) == 0
-            or wx.shape != (4 * hdim, x.shape[2])
-            or wh.shape != (4 * hdim, hdim) or b.shape != (4 * hdim,)):
-        raise ShapeError(f"lstm_cell shapes incompatible: x {x.shape}, "
-                         f"Wx {wx.shape}, Wh {wh.shape}, b {b.shape}")
-    t_len, batch, d_in = x.shape
-    parents = (x, wx, wh, b)
-    track = _grad_enabled and any(p.requires_grad for p in parents)
-    order = range(t_len - 1, -1, -1) if reverse else range(t_len)
-    hs = np.empty((t_len, batch, hdim))
-    if track:  # what the backward pass reads
-        acts = np.empty((t_len, batch, 4 * hdim))
-        cells = np.empty((t_len, batch, hdim))
-        tanhs = np.empty((t_len, batch, hdim))
+    hdim, d_in = fw[1].shape[-1], x.shape[-1]
+    g4 = 4 * hdim
+    if idx is None:
+        ok = x.data.ndim == 3 and x.data.size > 0
     else:
-        act = np.empty((batch, 4 * hdim))
-    h = c = np.zeros((batch, hdim))
-    wxt, wht = wx.data.T, wh.data.T
-    for t in order:
-        z = x.data[t] @ wxt + h @ wht + b.data
-        if track:
-            act = acts[t]
-        np.divide(1.0, 1.0 + np.exp(-z[:, :3 * hdim]), out=act[:, :3 * hdim])
-        np.tanh(z[:, 3 * hdim:], out=act[:, 3 * hdim:])
-        i, f, o = act[:, :hdim], act[:, hdim:2 * hdim], act[:, 2 * hdim:3 * hdim]
-        c = np.add(f * c, i * act[:, 3 * hdim:], out=cells[t] if track else None)
-        th = np.tanh(c, out=tanhs[t] if track else None)
-        h = np.multiply(o, th, out=hs[t])
+        idx = np.asarray(idx)
+        ok = (x.data.ndim == 2 and x.data.size > 0 and idx.ndim == 2 and idx.size
+              and idx.dtype.kind in "iu" and 0 <= idx.min() and idx.max() < len(x))
+    if not ok or any(wx.shape != (g4, d_in) or wh.shape != (g4, hdim)
+                     or b.shape != (g4,) for wx, wh, b in (fw, bw)):
+        raise ShapeError(
+            f"lstm_cell shapes incompatible: x {x.shape}, idx "
+            f"{None if idx is None else idx.shape}; " + "; ".join(
+                f"{tag} Wx {wx.shape}, Wh {wh.shape}, b {b.shape}"
+                for tag, (wx, wh, b) in (("fw", fw), ("bw", bw))))
+    t_len, batch = x.shape[:2] if idx is None else idx.shape
+    parents = (x, *fw, *bw)
+    track = _grad_enabled and any(p.requires_grad for p in parents)
+    wx, wh, bias = (np.stack([f.data, b.data]) for f, b in zip(fw, bw))
+    wx, bias, rows = wx.reshape(2 * g4, d_in), bias[:, None], x.data.reshape(-1, d_in)
+    steps = range(t_len) if idx is None else idx
+    out = np.empty((t_len, batch, 2, hdim))
+    hs = np.empty((t_len, 2, batch, hdim))  # in step order
+    if track:  # what the backward pass reads, in step order
+        acts = np.empty((t_len, 2, batch, g4))
+        cells, tanhs = np.empty((2, t_len, 2, batch, hdim))
+    else:
+        act = np.empty((2, batch, g4))
+    # both directions' input projections of all rows of x, made after the kept
+    # buffers: freed, they leave no heap hole below them (peak RSS)
+    p_fw, p_bw = np.moveaxis((rows @ wx.T).reshape(*x.shape[:-1], 2, g4), -2, 0)
+    h = c = np.zeros((2, batch, hdim))
+    wht = wh.transpose(0, 2, 1)
+    for s in range(t_len):
+        z = np.matmul(h, wht)
+        z[0] += p_fw[steps[s]]
+        z[1] += p_bw[steps[t_len - 1 - s]]
+        z += bias
+        act = acts[s] if track else act
+        np.divide(1.0, 1.0 + np.exp(-z[..., :3 * hdim]), out=act[..., :3 * hdim])
+        np.tanh(z[..., 3 * hdim:], out=act[..., 3 * hdim:])
+        i, f, o = act[..., :hdim], act[..., hdim:2 * hdim], act[..., 2 * hdim:3 * hdim]
+        c = np.add(f * c, i * act[..., 3 * hdim:], out=cells[s] if track else None)
+        th = np.tanh(c, out=tanhs[s] if track else None)
+        h = np.multiply(o, th, out=hs[s])
+    out[:, :, 0], out[:, :, 1] = hs[:, 0], hs[::-1, 1]
 
     def backward(g):
-        g = g.reshape(t_len, batch, hdim)
-        gz = np.empty((t_len, batch, 4 * hdim))
-        gx = np.empty((t_len, batch, d_in))
-        first = order[0]
-        gh_rec = gc_next = None
-        for t in reversed(order):
-            i, f, o, g_ = (acts[t, :, k * hdim:(k + 1) * hdim] for k in range(4))
-            th, gzt = tanhs[t], gz[t]
-            gh = g[t] if gh_rec is None else g[t] + gh_rec
+        g = g.reshape(t_len, batch, 2, hdim)
+        gh_all = np.stack([g[:, :, 0], g[::-1, :, 1]], axis=1)  # step order
+        gz = np.empty((t_len, batch, 2, g4))  # time-major, as the GEMMs read
+        gzs = np.empty((2, batch, g4))
+        gh_rec = gc_next = 0.0
+        for s in range(t_len - 1, -1, -1):
+            i, f, o, g_ = (acts[s, ..., k * hdim:(k + 1) * hdim] for k in range(4))
+            th, gh = tanhs[s], gh_all[s]
+            gh += gh_rec
             gc = gh * o * (1.0 - th * th)
-            if gc_next is not None:
-                gc += gc_next
-            gzt[:, :hdim] = gc * g_ * i * (1.0 - i)
-            if t == first:  # the cell state before the first step is zero
-                gzt[:, hdim:2 * hdim] = 0.0
+            gc += gc_next
+            gzs[..., :hdim] = gc * g_ * i * (1.0 - i)
+            if s == 0:  # the cell state before the first step is zero
+                gzs[..., hdim:2 * hdim] = 0.0
             else:
-                c_prev = cells[t + 1 if reverse else t - 1]
-                gzt[:, hdim:2 * hdim] = gc * c_prev * f * (1.0 - f)
-            gzt[:, 2 * hdim:3 * hdim] = gh * th * o * (1.0 - o)
-            gzt[:, 3 * hdim:] = gc * i * (1.0 - g_ * g_)
-            np.matmul(gzt, wx.data, out=gx[t])
-            gh_rec = gzt @ wh.data
+                gzs[..., hdim:2 * hdim] = gc * cells[s - 1] * f * (1.0 - f)
+            gzs[..., 2 * hdim:3 * hdim] = gh * th * o * (1.0 - o)
+            gzs[..., 3 * hdim:] = gc * i * (1.0 - g_ * g_)
+            gz[s, :, 0] = gzs[0]
+            gz[t_len - 1 - s, :, 1] = gzs[1]
+            gh_rec = np.matmul(gzs, wh)
             gc_next = gc * f
-        gz_all = gz.reshape(t_len * batch, 4 * hdim)
-        # h before step t is hs[t - 1] (forward) or hs[t + 1] (reverse)
-        gz_rec, h_prev = (gz[:-1], hs[1:]) if reverse else (gz[1:], hs[:-1])
-        gwh = gz_rec.reshape(-1, 4 * hdim).T @ h_prev.reshape(-1, hdim)
-        return (gx, gz_all.T @ x.data.reshape(t_len * batch, d_in), gwh,
-                gz_all.sum(axis=0))
+        gz_all = gz.reshape(t_len * batch, 2 * g4)
+        if idx is not None:  # sum the gate gradients of steps per row of x
+            order = np.argsort(idx, axis=None, kind="stable")
+            ids, rows_sorted = idx.reshape(-1)[order], gz_all[order]
+            cuts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
+            gz_all = np.zeros((len(x), 2 * g4))
+            for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(ids)]):
+                gz_all[ids[lo]] = rows_sorted[lo:hi].sum(axis=0)
+        gx = (gz_all @ wx).reshape(x.shape)
+        gwx = gz_all.T @ rows
+        # h before step t is out[t - 1] (forward) or out[t + 1] (backward)
+        gwh_fw = gz[1:, :, 0].reshape(-1, g4).T @ out[:-1, :, 0].reshape(-1, hdim)
+        gwh_bw = gz[:-1, :, 1].reshape(-1, g4).T @ out[1:, :, 1].reshape(-1, hdim)
+        gb = gz.sum(axis=(0, 1))
+        return (gx, gwx[:g4], gwh_fw, gb[0], gwx[g4:], gwh_bw, gb[1])
 
-    return _wrap(hs.reshape(t_len * batch, hdim), parents, backward)
+    return _wrap(out.reshape(t_len * batch * 2, hdim), parents, backward)
 
 
 def gather_cols(table: Tensor, idx: np.ndarray) -> Tensor:
     """The columns of ``table`` (d, V) at the indices ``idx``, as rows.
 
-    The output has shape ``idx.shape + (d,)``: a (T, B) index array gives a
-    time-major (T, B, d) sequence. The table must be a leaf parameter; its
-    gradient is scatter-added in place so large vocabularies never
-    materialize dense per-op buffers.
+    The output has shape ``idx.shape + (d,)``. The table must be a leaf
+    parameter; its gradient is scatter-added in place so large vocabularies
+    never materialize dense per-op buffers.
     """
     idx = np.asarray(idx, dtype=np.int64)
     if table.data.ndim != 2:

@@ -29,6 +29,7 @@ def _verdict(ok, name, detail=""):
     assert ok, f"{name} failed: {detail}"
 
 
+@pytest.mark.slow
 def test_c1_gradient_suite():
     """Every parameter of every variant vs central finite differences."""
     started = time.monotonic()
@@ -60,6 +61,7 @@ def test_c2_attention_laws():
              f"row-sum dev {worst_sum:.2e}, uniformity dev {worst_uniform:.2e}")
 
 
+@pytest.mark.slow
 def test_c3_overfit_micro():
     """64 compatibility pairs memorized to 99% token accuracy in time."""
     started = time.monotonic()
@@ -119,6 +121,7 @@ def e2e(tmp_path_factory):
     return tmp_path_factory.mktemp("e2e")
 
 
+@pytest.mark.slow
 def test_c5_end_to_end_synthetic(e2e, capsys):
     started = time.monotonic()
     thresholds = {"compat": 0.90, "satisf": 0.85}
@@ -234,6 +237,7 @@ def test_c8_loss_semantics():
              f"{100 * uniform_gap:.1f}% of k*ln|L|")
 
 
+@pytest.mark.slow
 def test_converged_model_labels_fixture_question():
     """A model trained on the synthetic satisfiability corpus labels the
     canonical 'works with <entity> ?' question as function words + target."""

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from danqa import tensor as tc
 from danqa.errors import ConfigError, ShapeError, VocabError
 from danqa.layers import BLSTMLayer, EmbeddingTable, attend_step, dense_shared
-from util import fd_gradient, max_rel_err, reference_attention
+from util import (fd_gradient, max_rel_err, reference_attention,
+                  reference_direction)
 
 
 def zeroed_layer(input_dim, output_dim, seed=0):
@@ -25,6 +26,12 @@ def as_seq(x):
 def seq_matrix(layer, x):
     """(T, d_out) matrix of a BLSTM's per-step outputs over one sequence."""
     return layer.seq(as_seq(x)).data[:, 0]
+
+
+def token_layer(d_e, output_dim, vocab_size, rng):
+    """A first-layer BLSTM over a random embedding table, PAD column too."""
+    table = EmbeddingTable(rng.standard_normal((d_e, vocab_size)))
+    return BLSTMLayer(d_e, output_dim, rng, embedding=table)
 
 
 def tensors_made(fn):
@@ -127,20 +134,69 @@ class TestBLSTM:
 
     @pytest.mark.parametrize("t_len", [1, 4, 9])
     def test_one_op_per_direction_step(self, t_len):
-        # one lstm_cell op per direction whatever the length; seq adds a
-        # concat and a reshape, pool two row views and a concat
+        # one lstm_cell op for both directions whatever the length; seq adds
+        # a reshape, pool two row views and a concat, and a token-id layer
+        # one embedding lookup
         rng = np.random.default_rng(t_len)
         layer = BLSTMLayer(3, 4, rng)
         x = as_seq(rng.standard_normal((t_len, 3)))
-        assert tensors_made(lambda: layer.fw.run(x)) == 1
-        assert tensors_made(lambda: layer.seq(x)) == 4
-        assert tensors_made(lambda: layer.pool(x)) == 5
+        assert tensors_made(lambda: layer._run(x)) == 1
+        assert tensors_made(lambda: layer.seq(x)) == 2
+        assert tensors_made(lambda: layer.pool(x)) == 4
+        layer = token_layer(3, 4, 6, rng)
+        ids = rng.integers(0, 6, (t_len, 2))
+        assert tensors_made(lambda: layer.seq(ids)) == 3
+        assert tensors_made(lambda: layer.pool(ids)) == 5
 
     def test_empty_sequence_rejected(self):
         layer = BLSTMLayer(3, 4, np.random.default_rng(0))
         for call in (layer.seq, layer.pool):
             with pytest.raises(ShapeError, match=r"x \(0, 1, 3\)"):
                 call(tc.constant(np.zeros((0, 1, 3))))
+        layer = token_layer(3, 4, 5, np.random.default_rng(0))
+        for call in (layer.seq, layer.pool):
+            with pytest.raises(ShapeError, match=r"x \(0, 3\), idx \(0, 1\)"):
+                call(np.zeros((0, 1), dtype=np.int64))
+
+    @settings(max_examples=40, deadline=None)
+    @given(t_len=st.integers(1, 5), batch=st.integers(1, 4),
+           d_e=st.integers(1, 4), hdim=st.integers(1, 3),
+           vocab=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    def test_token_ids_match_reference_over_embedded_rows(
+            self, t_len, batch, d_e, hdim, vocab, seed):
+        """A token-id layer reads each step's embedding column, whatever
+        repeats: tokens within and across steps, and all-PAD rows."""
+        rng = np.random.default_rng(seed)
+        layer = token_layer(d_e, 2 * hdim, vocab, rng)
+        ids = rng.integers(0, vocab, (t_len, batch))
+        ids[:, rng.random(batch) < 0.3] = 0
+        xs = layer.embedding.table.data[:, ids].transpose(1, 2, 0)
+        want = [reference_direction(xs, d.wx.data, d.wh.data, d.b.data,
+                                    reverse=d is layer.bw).reshape(t_len, batch, hdim)
+                for d in (layer.fw, layer.bw)]
+        seq = layer.seq(ids).data
+        np.testing.assert_allclose(seq, np.concatenate(want, axis=2),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(layer.pool(ids).data,
+                                   np.concatenate([want[0][-1], want[1][0]], axis=1),
+                                   rtol=0, atol=1e-12)
+
+    def test_token_ids_embedding_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(13)
+        layer = token_layer(3, 4, 6, rng)
+        ids = np.array([[2, 0, 2], [5, 0, 2], [2, 0, 0], [1, 0, 5]])
+        w_seq = tc.constant(rng.standard_normal((4, 3, 4)))
+        w_pool = tc.constant(rng.standard_normal((3, 4)))
+
+        def build():
+            return tc.add(tc.tensor_sum(tc.mul(layer.seq(ids), w_seq)),
+                          tc.tensor_sum(tc.mul(layer.pool(ids), w_pool)))
+
+        build().backward()
+        table = layer.embedding.table
+        fd = fd_gradient(lambda: build().item(), table.data)
+        assert max_rel_err(table.grad, fd) <= 1e-5
+        assert np.all(table.grad[:, [3, 4]] == 0.0)  # tokens never read
 
     def test_batched_seq_gradients_match_finite_differences(self):
         rng = np.random.default_rng(12)

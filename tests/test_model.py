@@ -19,7 +19,8 @@ from danqa.metrics import spans_from_labels
 from danqa.model import (CHECKPOINT_MAGIC, VARIANTS, Model, ModelConfig,
                          decode_tuples, load_checkpoint, predict_labels,
                          save_checkpoint)
-from util import reference_forward
+from danqa.training import batch_loss
+from util import fd_gradient, max_rel_err, reference_forward
 
 
 def micro_cfg(variant="dan", task="compat", seed=0, **kw):
@@ -208,7 +209,8 @@ class TestForward:
         assert hqa.shape == (cfg.t_q + cfg.t_a, b, n)
 
     def test_story_is_question_then_answer(self, monkeypatch):
-        """The story BLSTM reads the question embeddings, then the answer's."""
+        """The story BLSTM reads the question's token ids, then the answer's,
+        time-major like those of the question and answer BLSTMs."""
         cfg, vocab, examples = micro_setup()
         model = Model(cfg, vocab.size)
         calls = record_layers(model, monkeypatch)
@@ -216,9 +218,10 @@ class TestForward:
         eq, _ = blstm_call(calls, "ctx1_q.seq")
         ea, _ = blstm_call(calls, "ctx1_a.seq")
         eqa, _ = blstm_call(calls, "ctx1_qa.seq")
+        np.testing.assert_array_equal(eq, np.stack([ex.x_q for ex in examples], 1))
+        np.testing.assert_array_equal(ea, np.stack([ex.x_a for ex in examples], 1))
         assert len(eqa) == cfg.t_q + cfg.t_a
-        np.testing.assert_array_equal(eqa.data,
-                                      np.concatenate([eq.data, ea.data]))
+        np.testing.assert_array_equal(eqa, np.concatenate([eq, ea]))
 
     def test_pad_only_answer_still_valid(self):
         cfg, vocab, examples = micro_setup()
@@ -277,6 +280,34 @@ class TestForward:
         params = {name: p.data for name, p in model.params().items()}
         np.testing.assert_allclose(
             got, reference_forward(params, examples, cfg), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_training_gradients_match_reference_loss(self, variant):
+        """Every parameter gradient of one inference-mode training step is
+        the central difference of the loss of ``util.reference_forward``.
+        The batch repeats tokens, pads, and has an all-PAD answer, except
+        for ``qa-coattention``, whose question would attend over nothing."""
+        cfg = ModelConfig(variant=variant, task="satisf", d_e=2, blstm_dim=2,
+                          t_q=3, t_a=4, seed=5)
+        model = Model(cfg, 5)
+        rng = np.random.default_rng(5)
+        examples = [random_example(rng, cfg.t_q, cfg.t_a, 5) for _ in range(3)]
+        examples[0].x_q[examples[0].q_mask > 0] = examples[0].x_q[0]
+        if variant != "qa-coattention":
+            examples[1].x_a[:], examples[1].a_mask[:] = 0, 0.0
+        for ex in examples:
+            ex.y = rng.integers(0, len(cfg.space), cfg.t_q)
+        batch_loss(model, examples, training=False).backward()
+        params = {name: p.data for name, p in model.params().items()}
+        gold = np.concatenate([ex.y for ex in examples])
+        real = np.concatenate([ex.q_mask for ex in examples]) > 0
+
+        def loss():
+            probs = reference_forward(params, examples, cfg)
+            return -np.log(probs[np.arange(len(gold)), gold][real]).sum()
+
+        for name, p in model.params().items():
+            assert max_rel_err(p.grad, fd_gradient(loss, p.data)) <= 1e-5, name
 
     def test_never_produces_non_finite(self):
         for seed in range(5):

@@ -12,23 +12,33 @@ from util import fd_gradient, max_rel_err, reference_direction
 
 
 def gate_step(z):
-    """``lstm_cell`` over the (T, B, 4H) tensor or array ``z`` with an
-    identity input map and no recurrence or bias, so ``z[t]`` is the gate
-    pre-activation of step t."""
+    """The forward direction of ``lstm_cell`` over the (T, B, 4H) tensor or
+    array ``z`` with an identity input map and no recurrence or bias, so
+    ``z[t]`` is the gate pre-activation of step t; (T·B, H) like
+    ``reference_direction``."""
     z = z if isinstance(z, tc.Tensor) else tc.constant(np.asarray(z, float))
     hdim = z.shape[2] // 4
-    return tc.lstm_cell(z, tc.constant(np.eye(4 * hdim)),
-                        tc.constant(np.zeros((4 * hdim, hdim))),
-                        tc.constant(np.zeros(4 * hdim)))
+    weights = (tc.constant(np.eye(4 * hdim)),
+               tc.constant(np.zeros((4 * hdim, hdim))),
+               tc.constant(np.zeros(4 * hdim)))
+    return tc.lstm_cell(z, weights, weights)[::2]
 
 
 def lstm_inputs(rng, t_len, batch=3, d_in=4, hdim=2, scale=1.0):
-    """A random (T, B, D) input and weights for an ``lstm_cell`` call, as
-    arrays."""
-    x = scale * rng.standard_normal((t_len, batch, d_in))
-    return (x, scale * rng.standard_normal((4 * hdim, d_in)),
-            scale * rng.standard_normal((4 * hdim, hdim)),
-            scale * rng.standard_normal(4 * hdim))
+    """A random (T, B, D) input and the forward and backward weight triples
+    of an ``lstm_cell`` call, as arrays."""
+    def weights():
+        return (scale * rng.standard_normal((4 * hdim, d_in)),
+                scale * rng.standard_normal((4 * hdim, hdim)),
+                scale * rng.standard_normal(4 * hdim))
+
+    return scale * rng.standard_normal((t_len, batch, d_in)), weights(), weights()
+
+
+def directions(out, t_len, batch):
+    """The forward and backward (T·B, H) halves of ``lstm_cell`` states."""
+    both = np.asarray(out).reshape(t_len * batch, 2, -1)
+    return both[:, 0], both[:, 1]
 
 
 class TestMatmul:
@@ -392,19 +402,26 @@ class TestBackward:
 
 class TestFusedOps:
     def test_lstm_cell_matches_finite_differences(self):
-        for t_len, reverse in itertools.product((1, 3), (False, True)):
+        # a dense (T, B, D) input, and (U, D) rows read through an index
+        # that repeats rows within and across steps and never reads row 4
+        for t_len, rows in itertools.product((1, 3), (False, True)):
             rng = np.random.default_rng(7 + t_len)
-            x, wx, wh, b = (tc.parameter(a) for a in lstm_inputs(rng, t_len))
-            v = tc.constant(rng.standard_normal((3 * t_len, 2)))
+            x, fw, bw = lstm_inputs(rng, t_len)
+            idx = None
+            if rows:
+                x, idx = rng.standard_normal((5, 4)), rng.integers(0, 4, (t_len, 3))
+                idx[0] = 2
+            x = tc.parameter(x)
+            fw, bw = (tuple(map(tc.parameter, w)) for w in (fw, bw))
+            v = tc.constant(rng.standard_normal((3 * t_len * 2, 2)))
 
             def build():
-                return tc.tensor_sum(
-                    tc.mul(tc.lstm_cell(x, wx, wh, b, reverse=reverse), v))
+                return tc.tensor_sum(tc.mul(tc.lstm_cell(x, fw, bw, idx), v))
 
             build().backward()
-            for t in (x, wx, wh, b):
+            for t in (x, *fw, *bw):
                 fd = fd_gradient(lambda: build().item(), t.data)
-                assert max_rel_err(t.grad, fd) <= 1e-5, (t_len, reverse)
+                assert max_rel_err(t.grad, fd) <= 1e-5, (t_len, rows)
 
     def test_lstm_cell_gradients(self):
         # gate pre-activations as inputs: the candidate, the cell carried
@@ -427,33 +444,42 @@ class TestFusedOps:
         x = tc.constant(np.zeros((1, 3, 4)))
         wx, b = tc.constant(np.zeros((8, 4))), tc.constant(np.zeros(8))
         wh = tc.constant(np.zeros((8, 2)))
+        fw = (wx, wh, b)
         with pytest.raises(ShapeError, match=r"x \(1, 3, 4\).*Wh \(8, 3\)"):
-            tc.lstm_cell(x, wx, tc.constant(np.zeros((8, 3))), b)
-        with pytest.raises(ShapeError, match=r"x \(3, 4\), Wx \(8, 4\)"):
-            tc.lstm_cell(tc.constant(np.zeros((3, 4))), wx, wh, b)
-        with pytest.raises(ShapeError, match=r"x \(0, 3, 4\), Wx \(8, 4\)"):
-            tc.lstm_cell(tc.constant(np.zeros((0, 3, 4))), wx, wh, b)
+            tc.lstm_cell(x, fw, (wx, tc.constant(np.zeros((8, 3))), b))
+        with pytest.raises(ShapeError, match=r"x \(3, 4\), idx None; fw Wx \(8, 4\)"):
+            tc.lstm_cell(tc.constant(np.zeros((3, 4))), fw, fw)
+        with pytest.raises(ShapeError, match=r"x \(0, 3, 4\), idx None; fw Wx \(8, 4\)"):
+            tc.lstm_cell(tc.constant(np.zeros((0, 3, 4))), fw, fw)
         with pytest.raises(ShapeError, match=r"b \(4,\)"):
-            tc.lstm_cell(x, wx, wh, tc.constant(np.zeros(4)))
+            tc.lstm_cell(x, (wx, wh, tc.constant(np.zeros(4))), fw)
+        rows = tc.constant(np.zeros((3, 4)))
+        for idx in ([[0, 3]], [[-1, 0]], [[0.0, 1.0]], [0, 1], np.zeros((0, 2), int)):
+            with pytest.raises(ShapeError, match=r"x \(3, 4\), idx"):
+                tc.lstm_cell(rows, fw, fw, np.array(idx))
+        with pytest.raises(ShapeError, match=r"x \(1, 3, 4\), idx \(1, 1\)"):
+            tc.lstm_cell(x, fw, fw, np.zeros((1, 1), int))
 
     @settings(max_examples=40, deadline=None)
     @given(t_len=st.integers(1, 5), batch=st.integers(1, 4),
            d_in=st.integers(1, 5), hdim=st.integers(1, 4),
-           seed=st.integers(0, 2**32 - 1), reverse=st.booleans(),
+           seed=st.integers(0, 2**32 - 1),
            scale=st.sampled_from([0.1, 1.0, 3.0]))
     def test_lstm_cell_matches_reference_step(self, t_len, batch, d_in, hdim,
-                                              seed, reverse, scale):
-        x, wx, wh, b = lstm_inputs(np.random.default_rng(seed), t_len,
-                                   batch, d_in, hdim, scale)
-        got = tc.lstm_cell(*(tc.constant(a) for a in (x, wx, wh, b)),
-                           reverse=reverse)
-        np.testing.assert_allclose(
-            got.data, reference_direction(x, wx, wh, b, reverse),
-            rtol=0, atol=1e-12)
+                                              seed, scale):
+        x, fw, bw = lstm_inputs(np.random.default_rng(seed), t_len,
+                                batch, d_in, hdim, scale)
+        got = tc.lstm_cell(tc.constant(x), *(tuple(map(tc.constant, w))
+                                             for w in (fw, bw)))
+        for half, w, reverse in zip(directions(got.data, t_len, batch),
+                                    (fw, bw), (False, True)):
+            np.testing.assert_allclose(
+                half, reference_direction(x, *w, reverse), rtol=0, atol=1e-12)
 
     def test_lstm_cell_records_no_buffers_without_grad(self):
-        args = [tc.parameter(a)
-                for a in lstm_inputs(np.random.default_rng(10), 4)]
+        x, fw, bw = lstm_inputs(np.random.default_rng(10), 4)
+        args = [tc.parameter(x), tuple(map(tc.parameter, fw)),
+                tuple(map(tc.parameter, bw))]
         with tc.no_grad():
             plain = tc.lstm_cell(*args)
         assert plain._backward is None
