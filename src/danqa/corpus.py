@@ -167,6 +167,7 @@ class EncodedExample:
 
 def encode(pair: QAPair, vocab: Vocab, cfg) -> EncodedExample:
     """Pad/truncate to (cfg.t_q, cfg.t_a); answers keep their first tokens.
+    The model skips PAD positions, so the widths only truncate.
 
     Questions longer than t_q are truncated from the end; when truncation
     drops non-O gold labels the loss of data is logged with the pair id.

@@ -1,10 +1,10 @@
 """Reusable network layers: embeddings, BLSTMs, attention, dense head.
 
 A sequence is one time-major ``(T, B, d)`` tensor. A BLSTM runs both
-directions as one ``tc.lstm_cell`` op over the whole sequence; a first-layer
-BLSTM reads the ``(T, B)`` token ids instead and embeds each distinct token
-once. Attention takes batch-first ``(B, T, d)`` views, which
-``tc.transpose`` makes.
+directions as one ``tc.lstm_cell`` op over the whole sequence, where a PAD step
+is a no-op; a first-layer BLSTM reads the ``(T, B)`` token ids instead and
+embeds each distinct token once. Attention takes batch-first ``(B, T, d)``
+views, which ``tc.transpose`` makes.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as tc
+from .corpus import PAD
 from .errors import ShapeError, VocabError
 from .tensor import Tensor
 
@@ -27,7 +28,8 @@ class EmbeddingTable:
     """Trainable word embedding matrix of shape (dim, vocab_size).
 
     Column ``t`` is the vector of token index ``t``. The PAD column
-    (index 0) starts at zero and stays trainable.
+    (index 0) starts at zero. The BLSTMs never use it, as a PAD step is a
+    no-op, so it gets no gradient and stays zero.
     """
 
     def __init__(self, weights: np.ndarray):
@@ -76,12 +78,29 @@ class LSTMDirection:
         self.b = Tensor(bias, requires_grad=True)
 
 
+class MaskedSeq:
+    """A (T, B, d) sequence ``x`` and its (T, B) bool ``mask`` of real steps.
+    ``len``, ``[t]`` and ``shape`` read ``x``, as the benchmark's tracer sizes
+    BLSTM calls by them; this goes once the tracer lets ``seq`` take a mask."""
+
+    def __init__(self, x: Tensor, mask):
+        self.x, self.mask, self.shape = x, mask, x.shape
+
+    def __len__(self):
+        return len(self.x)
+
+    def __getitem__(self, key):
+        return self.x[key]
+
+
 class BLSTMLayer:
     """Bidirectional LSTM; ``output_dim`` is the concatenated fwd+bwd width.
 
     A layer given an ``embedding`` reads a (T, B) token-id array: it embeds
     the distinct tokens once and lets ``tc.lstm_cell`` read each step's row
-    from them. Otherwise it reads a time-major (T, B, input_dim) tensor.
+    from them; its PAD tokens are PAD steps. Otherwise it reads a time-major
+    (T, B, input_dim) tensor, or a ``MaskedSeq`` of one with its real steps.
+    A PAD step leaves both directions' states as they were.
     """
 
     def __init__(self, input_dim: int, output_dim: int, rng,
@@ -98,10 +117,11 @@ class BLSTMLayer:
         """One ``lstm_cell`` op: (T·B·2, H) states laid out (T, B, 2, H)."""
         fw, bw = ((d.wx, d.wh, d.b) for d in (self.fw, self.bw))
         if self.embedding is None:
-            return tc.lstm_cell(x, fw, bw)
+            x, mask = (x.x, x.mask) if isinstance(x, MaskedSeq) else (x, None)
+            return tc.lstm_cell(x, fw, bw, mask=mask)
         tokens, idx = np.unique(x, return_inverse=True)
         return tc.lstm_cell(self.embedding.lookup(tokens), fw, bw,
-                            idx.reshape(x.shape))
+                            idx.reshape(x.shape), x != PAD)
 
     def seq(self, x) -> Tensor:
         """The (T, B, output_dim) outputs over the sequence ``x``:
@@ -109,8 +129,8 @@ class BLSTMLayer:
         return tc.reshape(self._run(x), (*x.shape[:2], self.output_dim))
 
     def pool(self, x) -> Tensor:
-        """(B, output_dim) sequence vectors: last forward h with first
-        backward h."""
+        """(B, output_dim) sequence vectors: the forward h after the last
+        real step with the backward h after the first one."""
         states, batch = self._run(x), x.shape[1]
         return tc.concat(states[-2 * batch::2], states[1:2 * batch:2], axis=1)
 

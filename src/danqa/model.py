@@ -134,6 +134,10 @@ class Model:
         one time-major (T, B, d) tensor up to the second BLSTMs. Attention
         reads (B, T, d) views, and the head transposes the question encoding
         to (B, T_q, d) once.
+
+        A PAD step is a no-op in every BLSTM (the second ones read ``q_mask``
+        and ``a_mask``) and gets zero attention weight, so the rows of real
+        question tokens do not depend on ``t_q`` and ``t_a``.
         """
         cfg = self.cfg
         if not examples:
@@ -179,8 +183,9 @@ class Model:
         hq2 = hq1 if cq is None else tc.concat(hq1, swap_time_batch(cq), axis=2)
         ha2 = ha1 if ca is None else tc.concat(ha1, swap_time_batch(ca), axis=2)
 
-        hq3 = swap_time_batch(self.ctx2_q.seq(hq2))
-        ha3 = tc.repeat(self.ctx2_a.pool(ha2), cfg.t_q, axis=1)
+        hq3 = swap_time_batch(self.ctx2_q.seq(layers.MaskedSeq(hq2, qm.T > 0)))
+        ha3 = tc.repeat(self.ctx2_a.pool(layers.MaskedSeq(ha2, am.T > 0)),
+                        cfg.t_q, axis=1)
         joined = tc.concat(hq3, ha3, axis=2)
         flat = drop(tc.reshape(joined, (batch * cfg.t_q, 2 * cfg.blstm_dim)))
         return tc.softmax_rows(

@@ -338,7 +338,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _wrap(x.data @ w.data.T + b.data, (x, w, b), backward)
 
 
-def lstm_cell(x: Tensor, fw, bw, idx=None) -> Tensor:
+def lstm_cell(x: Tensor, fw, bw, idx=None, mask=None) -> Tensor:
     """Both directions of a BLSTM layer over one sequence, as one op.
 
     ``fw`` and ``bw`` are ``(wx, wh, b)`` triples, ``wx`` (4H, D), ``wh``
@@ -350,10 +350,15 @@ def lstm_cell(x: Tensor, fw, bw, idx=None) -> Tensor:
     Returns the (T·B·2, H) states laid out (T, B, 2, H): [t, b, d] is
     direction d's state after step t.
 
+    A step that the (T, B) bool ``mask`` marks PAD (none if None) is a no-op
+    in both directions: that row's [h | c] stays as it was and takes no
+    gradient. Only steps where some row is real are computed; a skipped step
+    holds the states of the computed steps around it (or zero).
+
     Both directions' input projections are one GEMM over the rows of ``x``,
     not kept for backward, which runs BPTT per step and then forms ``dX``
     and ``dWx`` with one GEMM each (Appleyard et al. 2016); with ``idx`` it
-    first sums the gate gradients per row of ``x``. ``bench/tracing.py``
+    first sums the real steps' gate gradients per row of ``x``. The benchmark
     counts the rows of the op by its name ``lstm_cell``.
     """
     hdim, d_in = fw[1].shape[-1], x.shape[-1]
@@ -364,52 +369,73 @@ def lstm_cell(x: Tensor, fw, bw, idx=None) -> Tensor:
         idx = np.asarray(idx)
         ok = (x.data.ndim == 2 and x.data.size > 0 and idx.ndim == 2 and idx.size
               and idx.dtype.kind in "iu" and 0 <= idx.min() and idx.max() < len(x))
-    if not ok or any(wx.shape != (g4, d_in) or wh.shape != (g4, hdim)
-                     or b.shape != (g4,) for wx, wh, b in (fw, bw)):
+    shape = x.shape[:2] if idx is None else idx.shape
+    real = np.ones(shape, bool) if mask is None else np.asarray(mask, bool)
+    if not ok or real.shape != shape or any(
+            wx.shape != (g4, d_in) or wh.shape != (g4, hdim) or b.shape != (g4,)
+            for wx, wh, b in (fw, bw)):
         raise ShapeError(
             f"lstm_cell shapes incompatible: x {x.shape}, idx "
             f"{None if idx is None else idx.shape}; " + "; ".join(
                 f"{tag} Wx {wx.shape}, Wh {wh.shape}, b {b.shape}"
-                for tag, (wx, wh, b) in (("fw", fw), ("bw", bw))))
-    t_len, batch = x.shape[:2] if idx is None else idx.shape
+                for tag, (wx, wh, b) in (("fw", fw), ("bw", bw)))
+            + f"; mask {None if mask is None else real.shape}")
+    t_len, batch = shape
     parents = (x, *fw, *bw)
     track = _grad_enabled and any(p.requires_grad for p in parents)
     wx, wh, bias = (np.stack([f.data, b.data]) for f, b in zip(fw, bw))
-    wx, bias, rows = wx.reshape(2 * g4, d_in), bias[:, None], x.data.reshape(-1, d_in)
-    steps = range(t_len) if idx is None else idx
-    out = np.empty((t_len, batch, 2, hdim))
-    hs = np.empty((t_len, 2, batch, hdim))  # in step order
+    wx, bias = wx.reshape(2 * g4, d_in), bias[:, None]
+    live = real.any(axis=1)
+    kept = np.flatnonzero(live)  # the steps some row reads
+    n = len(kept)
+    span = slice(kept[0], kept[-1] + 1) if n and kept[-1] - kept[0] == n - 1 else kept
+    real = real[span]
+    pad = ~np.stack([real, real[::-1]], axis=1)[..., None]  # (n, 2, B, 1), step order
+    partial = pad.any(axis=(1, 2, 3)).tolist()
+    src = x.data[span] if idx is None else x.data
+    steps = range(n) if idx is None else idx[span]
+    hs = np.empty((n, 2, batch, hdim))  # in step order
     if track:  # what the backward pass reads, in step order
-        acts = np.empty((t_len, 2, batch, g4))
-        cells, tanhs = np.empty((2, t_len, 2, batch, hdim))
+        acts = np.empty((n, 2, batch, g4))
+        cells, tanhs = np.empty((2, n, 2, batch, hdim))
     else:
         act = np.empty((2, batch, g4))
     # both directions' input projections of all rows of x, made after the kept
     # buffers: freed, they leave no heap hole below them (peak RSS)
-    p_fw, p_bw = np.moveaxis((rows @ wx.T).reshape(*x.shape[:-1], 2, g4), -2, 0)
+    rows = src.reshape(-1, d_in)
+    p_fw, p_bw = np.moveaxis((rows @ wx.T).reshape(*src.shape[:-1], 2, g4), -2, 0)
     h = c = np.zeros((2, batch, hdim))
     wht = wh.transpose(0, 2, 1)
-    for s in range(t_len):
+    for s in range(n):
         z = np.matmul(h, wht)
         z[0] += p_fw[steps[s]]
-        z[1] += p_bw[steps[t_len - 1 - s]]
+        z[1] += p_bw[steps[n - 1 - s]]
         z += bias
         act = acts[s] if track else act
         np.divide(1.0, 1.0 + np.exp(-z[..., :3 * hdim]), out=act[..., :3 * hdim])
         np.tanh(z[..., 3 * hdim:], out=act[..., 3 * hdim:])
         i, f, o = act[..., :hdim], act[..., hdim:2 * hdim], act[..., 2 * hdim:3 * hdim]
-        c = np.add(f * c, i * act[..., 3 * hdim:], out=cells[s] if track else None)
-        th = np.tanh(c, out=tanhs[s] if track else None)
-        h = np.multiply(o, th, out=hs[s])
-    out[:, :, 0], out[:, :, 1] = hs[:, 0], hs[::-1, 1]
+        c_new = np.add(f * c, i * act[..., 3 * hdim:], out=cells[s] if track else None)
+        h_new = np.multiply(o, np.tanh(c_new, out=tanhs[s] if track else None),
+                            out=hs[s])
+        if partial[s]:  # a PAD row keeps its state
+            np.copyto(c_new, c, where=pad[s])
+            np.copyto(h_new, h, where=pad[s])
+        h, c = h_new, c_new
+    states = np.zeros((n + 2, batch, 2, hdim))  # time-major, a zero state at each end
+    states[1:-1, :, 0], states[1:-1, :, 1] = hs[:, 0], hs[::-1, 1]
+    at = np.cumsum(live)  # the states row the forward direction holds after step t
+    out = np.stack([states[at, :, 0], states[at + ~live, :, 1]], axis=2)
 
     def backward(g):
         g = g.reshape(t_len, batch, 2, hdim)
-        gh_all = np.stack([g[:, :, 0], g[::-1, :, 1]], axis=1)  # step order
-        gz = np.empty((t_len, batch, 2, g4))  # time-major, as the GEMMs read
+        gh_all = np.empty((n, 2, batch, hdim))  # step order, skipped steps summed in
+        np.add.reduceat(g[:, :, 0], kept, axis=0, out=gh_all[:, 0])
+        np.add.reduceat(g[::-1, :, 1], t_len - 1 - kept[::-1], axis=0, out=gh_all[:, 1])
+        gz = np.empty((n, batch, 2, g4))  # time-major, as the GEMMs read
         gzs = np.empty((2, batch, g4))
         gh_rec = gc_next = 0.0
-        for s in range(t_len - 1, -1, -1):
+        for s in range(n - 1, -1, -1):
             i, f, o, g_ = (acts[s, ..., k * hdim:(k + 1) * hdim] for k in range(4))
             th, gh = tanhs[s], gh_all[s]
             gh += gh_rec
@@ -422,23 +448,31 @@ def lstm_cell(x: Tensor, fw, bw, idx=None) -> Tensor:
                 gzs[..., hdim:2 * hdim] = gc * cells[s - 1] * f * (1.0 - f)
             gzs[..., 2 * hdim:3 * hdim] = gh * th * o * (1.0 - o)
             gzs[..., 3 * hdim:] = gc * i * (1.0 - g_ * g_)
+            gh_rec, gc_prev = np.matmul(gzs, wh), gc * f
+            if partial[s]:  # a PAD row takes no gate gradient and passes its state's on
+                np.copyto(gzs, 0.0, where=pad[s])
+                np.copyto(gh_rec, gh, where=pad[s])
+                np.copyto(gc_prev, gc_next, where=pad[s])
+            gc_next = gc_prev
             gz[s, :, 0] = gzs[0]
-            gz[t_len - 1 - s, :, 1] = gzs[1]
-            gh_rec = np.matmul(gzs, wh)
-            gc_next = gc * f
-        gz_all = gz.reshape(t_len * batch, 2 * g4)
-        if idx is not None:  # sum the gate gradients of steps per row of x
-            order = np.argsort(idx, axis=None, kind="stable")
-            ids, rows_sorted = idx.reshape(-1)[order], gz_all[order]
-            cuts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
+            gz[n - 1 - s, :, 1] = gzs[1]
+        gz_all = gz.reshape(n * batch, 2 * g4)
+        if idx is not None:  # sum the gate gradients of real steps per row of x
+            pos = np.flatnonzero(real)
+            pos = pos[np.argsort(steps.reshape(-1)[pos], kind="stable")]
+            ids, rows_sorted = steps.reshape(-1)[pos], gz_all[pos]
+            cuts = np.flatnonzero(np.diff(ids, prepend=-1))
             gz_all = np.zeros((len(x), 2 * g4))
-            for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(ids)]):
+            for lo, hi in zip(cuts, np.r_[cuts[1:], len(ids)]):
                 gz_all[ids[lo]] = rows_sorted[lo:hi].sum(axis=0)
-        gx = (gz_all @ wx).reshape(x.shape)
+        gx = (gz_all @ wx).reshape(src.shape)
+        if gx.shape != x.shape:  # the skipped steps read no input
+            gx, part = np.zeros(x.shape), gx
+            gx[span] = part
         gwx = gz_all.T @ rows
-        # h before step t is out[t - 1] (forward) or out[t + 1] (backward)
-        gwh_fw = gz[1:, :, 0].reshape(-1, g4).T @ out[:-1, :, 0].reshape(-1, hdim)
-        gwh_bw = gz[:-1, :, 1].reshape(-1, g4).T @ out[1:, :, 1].reshape(-1, hdim)
+        # h before kept step k is states[k] (forward) or states[k + 2] (backward)
+        gwh_fw = gz[1:, :, 0].reshape(-1, g4).T @ states[1:n, :, 0].reshape(-1, hdim)
+        gwh_bw = gz[:-1, :, 1].reshape(-1, g4).T @ states[2:-1, :, 1].reshape(-1, hdim)
         gb = gz.sum(axis=(0, 1))
         return (gx, gwx[:g4], gwh_fw, gb[0], gwx[g4:], gwh_bw, gb[1])
 

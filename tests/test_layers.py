@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from danqa import tensor as tc
 from danqa.errors import ConfigError, ShapeError, VocabError
-from danqa.layers import BLSTMLayer, EmbeddingTable, attend_step, dense_shared
+from danqa.layers import (BLSTMLayer, EmbeddingTable, MaskedSeq, attend_step,
+                          dense_shared)
 from util import (fd_gradient, max_rel_err, reference_attention,
                   reference_direction)
 
@@ -165,14 +166,16 @@ class TestBLSTM:
     def test_token_ids_match_reference_over_embedded_rows(
             self, t_len, batch, d_e, hdim, vocab, seed):
         """A token-id layer reads each step's embedding column, whatever
-        repeats: tokens within and across steps, and all-PAD rows."""
+        repeats: tokens within and across steps, and all-PAD rows; a PAD
+        token is a PAD step."""
         rng = np.random.default_rng(seed)
         layer = token_layer(d_e, 2 * hdim, vocab, rng)
         ids = rng.integers(0, vocab, (t_len, batch))
         ids[:, rng.random(batch) < 0.3] = 0
         xs = layer.embedding.table.data[:, ids].transpose(1, 2, 0)
         want = [reference_direction(xs, d.wx.data, d.wh.data, d.b.data,
-                                    reverse=d is layer.bw).reshape(t_len, batch, hdim)
+                                    reverse=d is layer.bw, mask=ids != 0
+                                    ).reshape(t_len, batch, hdim)
                 for d in (layer.fw, layer.bw)]
         seq = layer.seq(ids).data
         np.testing.assert_allclose(seq, np.concatenate(want, axis=2),
@@ -213,6 +216,26 @@ class TestBLSTM:
         for t in (x, *layer.params("x").values()):
             fd = fd_gradient(lambda: build().item(), t.data)
             assert max_rel_err(t.grad, fd) <= 1e-5
+
+    def test_masked_sequence_skips_its_pad_steps(self):
+        """``seq``/``pool`` of a ``MaskedSeq`` are the reference with the
+        mask's PAD steps kept as no-ops; ``len``, ``[t]`` and ``shape`` read
+        the sequence, as the benchmark's tracer sizes BLSTM calls by them."""
+        rng = np.random.default_rng(14)
+        layer = BLSTMLayer(3, 4, rng)
+        x = rng.standard_normal((5, 2, 3))
+        mask = np.array([[1, 0], [0, 0], [1, 1], [1, 0], [0, 0]], dtype=bool)
+        masked = MaskedSeq(tc.constant(x), mask)
+        assert (len(masked), masked[0].shape, masked.shape) == (5, (2, 3), (5, 2, 3))
+        want = [reference_direction(x, d.wx.data, d.wh.data, d.b.data,
+                                    reverse=d is layer.bw, mask=mask
+                                    ).reshape(5, 2, 2)
+                for d in (layer.fw, layer.bw)]
+        np.testing.assert_allclose(layer.seq(masked).data,
+                                   np.concatenate(want, axis=2), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(layer.pool(masked).data,
+                                   np.concatenate([want[0][-1], want[1][0]], axis=1),
+                                   rtol=0, atol=1e-12)
 
     def test_odd_output_dim_rejected(self):
         with pytest.raises(ShapeError):

@@ -17,8 +17,8 @@ from danqa.errors import ConfigError, ContractError
 from danqa.labels import COMPAT, SATISF
 from danqa.metrics import spans_from_labels
 from danqa.model import (CHECKPOINT_MAGIC, VARIANTS, Model, ModelConfig,
-                         decode_tuples, load_checkpoint, predict_labels,
-                         save_checkpoint)
+                         decode_tuples, load_checkpoint, predict_label_batches,
+                         predict_labels, save_checkpoint)
 from danqa.training import batch_loss
 from util import fd_gradient, max_rel_err, reference_forward
 
@@ -152,10 +152,12 @@ class TestBuild:
         calls = record_layers(model, monkeypatch)
         model.forward_batch(examples[:1])
         assert model.ctx1_qa is None and "attend_step" not in calls
-        # without attention the second question BLSTM reads the first's output
+        # without attention the second question BLSTM reads the first's
+        # output, with the question's real steps
         _, hq1 = blstm_call(calls, "ctx1_q.seq")
         hq2, _ = blstm_call(calls, "ctx2_q.seq")
-        np.testing.assert_array_equal(hq2.data, hq1.data)
+        np.testing.assert_array_equal(hq2.x.data, hq1.data)
+        np.testing.assert_array_equal(hq2.mask, examples[0].q_mask[:, None] > 0)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError):
@@ -260,6 +262,37 @@ class TestForward:
                 np.testing.assert_allclose(rows, probs_of(model, ex),
                                            rtol=0, atol=1e-12)
 
+    @settings(max_examples=30, deadline=None)
+    @given(variant=st.sampled_from(VARIANTS),
+           task=st.sampled_from(("compat", "satisf")),
+           seed=st.integers(0, 2 ** 16), size=st.integers(1, 6),
+           extra_q=st.integers(1, 8), extra_a=st.integers(1, 8))
+    def test_real_rows_do_not_depend_on_padding(self, variant, task, seed, size,
+                                                extra_q, extra_a):
+        """The same pairs encoded with more padding get the same real-token
+        probabilities and the same labels: a PAD step is a no-op."""
+        pairs = synth_generate(size, task, seed=seed)
+        vocab = build_vocab(pairs)
+        t_q = max(len(p.question_tokens) for p in pairs)
+        t_a = max(1, max(len(p.answer_tokens) for p in pairs))
+        runs = []
+        for cfg in (micro_cfg(variant, task, seed, t_q=t_q, t_a=t_a),
+                    micro_cfg(variant, task, seed, t_q=t_q + extra_q,
+                              t_a=t_a + extra_a)):
+            model = Model(cfg, vocab.size)
+            examples = [encode(p, vocab, cfg) for p in pairs]
+            with tc.no_grad():
+                probs = model.forward_batch(examples).data
+            runs.append((probs.reshape(size, cfg.t_q, -1),
+                         predict_label_batches(model, examples, batch_size=4)))
+        (probs, labels), (padded_probs, padded_labels) = runs
+        for b, pair in enumerate(pairs):
+            real = len(pair.question_tokens)
+            np.testing.assert_allclose(padded_probs[b, :real], probs[b, :real],
+                                       rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(padded_labels[:, :t_q], labels)
+        assert np.all(padded_labels[:, t_q:] == 0)
+
     @settings(max_examples=40, deadline=None)
     @given(variant=st.sampled_from(VARIANTS),
            task=st.sampled_from(("compat", "satisf")),
@@ -285,16 +318,15 @@ class TestForward:
     def test_training_gradients_match_reference_loss(self, variant):
         """Every parameter gradient of one inference-mode training step is
         the central difference of the loss of ``util.reference_forward``.
-        The batch repeats tokens, pads, and has an all-PAD answer, except
-        for ``qa-coattention``, whose question would attend over nothing."""
+        The batch repeats tokens, pads, and has an all-PAD answer; the
+        ``qa-coattention`` question over it gets an exactly zero context."""
         cfg = ModelConfig(variant=variant, task="satisf", d_e=2, blstm_dim=2,
                           t_q=3, t_a=4, seed=5)
         model = Model(cfg, 5)
         rng = np.random.default_rng(5)
         examples = [random_example(rng, cfg.t_q, cfg.t_a, 5) for _ in range(3)]
         examples[0].x_q[examples[0].q_mask > 0] = examples[0].x_q[0]
-        if variant != "qa-coattention":
-            examples[1].x_a[:], examples[1].a_mask[:] = 0, 0.0
+        examples[1].x_a[:], examples[1].a_mask[:] = 0, 0.0
         for ex in examples:
             ex.y = rng.integers(0, len(cfg.space), cfg.t_q)
         batch_loss(model, examples, training=False).backward()

@@ -35,6 +35,21 @@ def lstm_inputs(rng, t_len, batch=3, d_in=4, hdim=2, scale=1.0):
     return scale * rng.standard_normal((t_len, batch, d_in)), weights(), weights()
 
 
+# real steps (T=6, B=3): an all-PAD prefix (t=0), interior gap (t=3) and
+# suffix (t=5), a partially real step (t=2), and an all-PAD row (b=2)
+GAPPY_MASK = np.array([[0, 0, 0], [1, 1, 0], [1, 0, 0],
+                       [0, 0, 0], [1, 1, 0], [0, 0, 0]], dtype=bool)
+
+
+def padding_mask(rng, t_len, batch, density):
+    """A random (T, B) real-step mask: each step real with ``density``, and
+    some whole steps and rows PAD."""
+    mask = rng.random((t_len, batch)) < density
+    mask[rng.random(t_len) < (1.0 - density) / 2] = False
+    mask[:, rng.random(batch) < 0.2] = False
+    return mask
+
+
 def directions(out, t_len, batch):
     """The forward and backward (T·B, H) halves of ``lstm_cell`` states."""
     both = np.asarray(out).reshape(t_len * batch, 2, -1)
@@ -403,25 +418,50 @@ class TestBackward:
 class TestFusedOps:
     def test_lstm_cell_matches_finite_differences(self):
         # a dense (T, B, D) input, and (U, D) rows read through an index
-        # that repeats rows within and across steps and never reads row 4
-        for t_len, rows in itertools.product((1, 3), (False, True)):
+        # that repeats rows within and across steps and never reads row 4;
+        # unmasked, and with the PAD steps of GAPPY_MASK
+        for masked, t_len, rows in itertools.product((False, True), (1, 3, 6),
+                                                     (False, True)):
             rng = np.random.default_rng(7 + t_len)
             x, fw, bw = lstm_inputs(rng, t_len)
             idx = None
             if rows:
                 x, idx = rng.standard_normal((5, 4)), rng.integers(0, 4, (t_len, 3))
                 idx[0] = 2
+            mask = GAPPY_MASK[:t_len] if masked else None
             x = tc.parameter(x)
             fw, bw = (tuple(map(tc.parameter, w)) for w in (fw, bw))
             v = tc.constant(rng.standard_normal((3 * t_len * 2, 2)))
 
             def build():
-                return tc.tensor_sum(tc.mul(tc.lstm_cell(x, fw, bw, idx), v))
+                return tc.tensor_sum(tc.mul(tc.lstm_cell(x, fw, bw, idx, mask), v))
 
             build().backward()
             for t in (x, *fw, *bw):
                 fd = fd_gradient(lambda: build().item(), t.data)
-                assert max_rel_err(t.grad, fd) <= 1e-5, (t_len, rows)
+                assert max_rel_err(t.grad, fd) <= 1e-5, (masked, t_len, rows)
+            if masked and not rows:  # a PAD step reads nothing of its input
+                assert np.all(x.grad[~mask] == 0.0)
+
+    def test_lstm_cell_pad_steps_keep_the_state(self):
+        x, fw, bw = lstm_inputs(np.random.default_rng(11), 6)
+        args = (tc.constant(x), *(tuple(map(tc.constant, w)) for w in (fw, bw)))
+        out = tc.lstm_cell(*args, mask=GAPPY_MASK).data.reshape(6, 3, 2, 2)
+        np.testing.assert_array_equal(out[:, 2], 0.0)  # the all-PAD row
+        np.testing.assert_array_equal(out[0, :, 0], 0.0)  # before any real step
+        np.testing.assert_array_equal(out[5, :, 1], 0.0)
+        np.testing.assert_array_equal(out[3, :, 0], out[2, :, 0])  # the gap
+        np.testing.assert_array_equal(out[3, :, 1], out[4, :, 1])
+        np.testing.assert_array_equal(out[2, 1, 0], out[1, 1, 0])  # partial step
+        np.testing.assert_array_equal(out[2, 1, 1], out[4, 1, 1])
+        # an all-PAD mask leaves every state at zero and reads no input, on
+        # the dense and the token-id path
+        for inp, idx in ((x, None), (x[0], np.zeros((6, 3), int))):
+            inp = tc.parameter(inp)
+            nothing = tc.lstm_cell(inp, *args[1:], idx, np.zeros((6, 3), bool))
+            np.testing.assert_array_equal(nothing.data, 0.0)
+            tc.tensor_sum(nothing).backward()
+            np.testing.assert_array_equal(inp.grad, 0.0)
 
     def test_lstm_cell_gradients(self):
         # gate pre-activations as inputs: the candidate, the cell carried
@@ -459,22 +499,35 @@ class TestFusedOps:
                 tc.lstm_cell(rows, fw, fw, np.array(idx))
         with pytest.raises(ShapeError, match=r"x \(1, 3, 4\), idx \(1, 1\)"):
             tc.lstm_cell(x, fw, fw, np.zeros((1, 1), int))
+        with pytest.raises(ShapeError, match=r"x \(1, 3, 4\), idx None;.*mask \(3, 1\)"):
+            tc.lstm_cell(x, fw, fw, mask=np.ones((3, 1), bool))
 
-    @settings(max_examples=40, deadline=None)
-    @given(t_len=st.integers(1, 5), batch=st.integers(1, 4),
+    @settings(max_examples=60, deadline=None)
+    @given(t_len=st.integers(1, 6), batch=st.integers(1, 4),
            d_in=st.integers(1, 5), hdim=st.integers(1, 4),
            seed=st.integers(0, 2**32 - 1),
-           scale=st.sampled_from([0.1, 1.0, 3.0]))
+           scale=st.sampled_from([0.1, 1.0, 3.0]),
+           density=st.sampled_from([1.0, 0.7, 0.3]), rows=st.booleans())
     def test_lstm_cell_matches_reference_step(self, t_len, batch, d_in, hdim,
-                                              seed, scale):
-        x, fw, bw = lstm_inputs(np.random.default_rng(seed), t_len,
-                                batch, d_in, hdim, scale)
-        got = tc.lstm_cell(tc.constant(x), *(tuple(map(tc.constant, w))
-                                             for w in (fw, bw)))
+                                              seed, scale, density, rows):
+        """Both halves are ``reference_direction`` forward and reversed, over
+        a dense input or rows read through an index, with random PAD steps
+        (none at density 1)."""
+        rng = np.random.default_rng(seed)
+        x, fw, bw = lstm_inputs(rng, t_len, batch, d_in, hdim, scale)
+        mask = None if density == 1.0 else padding_mask(rng, t_len, batch, density)
+        weights = [tuple(map(tc.constant, w)) for w in (fw, bw)]
+        if rows:
+            table, idx = x[0], rng.integers(0, batch, (t_len, batch))
+            got = tc.lstm_cell(tc.constant(table), *weights, idx, mask)
+            x = table[idx]
+        else:
+            got = tc.lstm_cell(tc.constant(x), *weights, mask=mask)
         for half, w, reverse in zip(directions(got.data, t_len, batch),
                                     (fw, bw), (False, True)):
             np.testing.assert_allclose(
-                half, reference_direction(x, *w, reverse), rtol=0, atol=1e-12)
+                half, reference_direction(x, *w, reverse, mask), rtol=0,
+                atol=1e-12)
 
     def test_lstm_cell_records_no_buffers_without_grad(self):
         x, fw, bw = lstm_inputs(np.random.default_rng(10), 4)

@@ -13,10 +13,10 @@ from danqa.model import Model, ModelConfig
 from danqa.training import Adam, TrainConfig, batch_loss, evaluate_dataset, fit
 
 
-def setup_micro(task="compat", seed=0, n=8, **cfg_kw):
+def setup_micro(task="compat", seed=0, n=8, variant="dan", **cfg_kw):
     base = dict(d_e=8, blstm_dim=8, t_q=6, t_a=6, dropout_rate=0.0)
     base.update(cfg_kw)
-    cfg = ModelConfig(variant="dan", task=task, seed=seed, **base)
+    cfg = ModelConfig(variant=variant, task=task, seed=seed, **base)
     pairs = synth_generate(n, task, seed=seed)
     vocab = build_vocab(pairs)
     return cfg, vocab, [encode(p, vocab, cfg) for p in pairs]
@@ -43,6 +43,22 @@ class TestBatchLoss:
         k = sum(int(ex.q_mask.sum()) for ex in examples)
         expected = k * math.log(4)
         assert abs(loss - expected) <= 0.2 * expected
+
+
+    @pytest.mark.parametrize("variant", ["dan", "qa-coattention"])
+    def test_pad_column_gets_no_gradient(self, variant):
+        """A PAD step is a no-op, so a training step never reads the PAD
+        embedding column, which keeps its zero gradient and its zeros."""
+        cfg, vocab, examples = setup_micro(n=8, variant=variant, dropout_rate=0.1)
+        assert any(ex.q_mask.min() == 0 for ex in examples)
+        model = Model(cfg, vocab.size)
+        table = model.embedding.table
+        batch_loss(model, examples, training=True,
+                   rng=np.random.default_rng(0)).backward()
+        assert np.all(table.grad[:, 0] == 0.0)
+        assert np.any(table.grad[:, 1:] != 0.0)
+        Adam(model.params()).step()
+        np.testing.assert_array_equal(table.data[:, 0], 0.0)
 
 
 class TestAdam:

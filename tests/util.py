@@ -45,26 +45,31 @@ def reference_step(x, hc, wx, wh, b):
     return np.concatenate([o * np.tanh(c_new), c_new], axis=1)
 
 
-def reference_direction(xs, wx, wh, b, reverse=False):
+def reference_direction(xs, wx, wh, b, reverse=False, mask=None):
     """T calls of ``reference_step`` over the (B, D) steps ``xs`` from a zero
     [h | c]; (T·B, H) like ``lstm_cell``, row block t the state after
-    ``xs[t]``."""
+    ``xs[t]``. A row whose (T, B) ``mask`` is 0 at a step keeps its [h | c]
+    through that step; no mask means every step is real."""
     hdim = wh.shape[1]
     hc = np.zeros((xs[0].shape[0], 2 * hdim))
     out = [None] * len(xs)
     for t in (reversed(range(len(xs))) if reverse else range(len(xs))):
-        hc = reference_step(xs[t], hc, wx, wh, b)
+        real = True if mask is None else np.asarray(mask[t])[:, None] > 0
+        hc = np.where(real, reference_step(xs[t], hc, wx, wh, b), hc)
         out[t] = hc[:, :hdim]
     return np.concatenate(out)
 
 
 def reference_attention(src, story, mask):
-    """Per-row numpy softmax of ``src_t . story`` over the real positions."""
+    """Per-row numpy softmax of ``src_t . story`` over the real positions;
+    a row with no real position weights every position alike."""
     batch, t_len, _ = src.shape
     context = np.zeros(src.shape)
     weights = np.zeros((batch, t_len, story.shape[1]))
     for b in range(batch):
         real = mask[b] > 0
+        if not real.any():
+            real[:] = True
         for t in range(t_len):
             logits = story[b, real] @ src[b, t]
             e = np.exp(logits - logits.max())
@@ -76,22 +81,25 @@ def reference_attention(src, story, mask):
 def reference_forward(params, examples, cfg):
     """Inference-mode label distributions (B·T_q, L), one example at a time.
 
-    ``params`` maps ``Model.params()`` names to arrays. Each example's
+    ``params`` maps ``Model.params()`` names to arrays. Every BLSTM step at a
+    position whose ``q_mask``/``a_mask`` is 0 (PAD) leaves the state as it
+    was, in both directions. Each example's
     question and answer go through their context BLSTMs; the attending
     variants join each with its attention context over the story (question
     then answer) or, for ``qa-coattention``, over each other; the second
     BLSTMs re-encode both, the answer is pooled to [last forward h | first
     backward h], and every question step joined with it is classified.
     """
-    def directions(name, x):
+    def directions(name, x, mask):
         """Forward and backward hidden states (T, H) over the rows of x."""
         return [reference_direction(x[:, None], params[f"{name}.{d}.Wx"],
                                     params[f"{name}.{d}.Wh"],
-                                    params[f"{name}.{d}.b"], reverse=d == "bw")
+                                    params[f"{name}.{d}.b"], reverse=d == "bw",
+                                    mask=mask[:, None])
                 for d in ("fw", "bw")]
 
-    def seq(name, x):
-        return np.concatenate(directions(name, x), axis=1)
+    def seq(name, x, mask):
+        return np.concatenate(directions(name, x, mask), axis=1)
 
     def context(src, story, mask):
         return reference_attention(src[None], story[None], mask[None])[0][0]
@@ -100,20 +108,20 @@ def reference_forward(params, examples, cfg):
     for ex in examples:
         eq = params["embedding.We"][:, ex.x_q].T
         ea = params["embedding.We"][:, ex.x_a].T
-        hq, ha = seq("ctx1_q", eq), seq("ctx1_a", ea)
+        hq, ha = seq("ctx1_q", eq, ex.q_mask), seq("ctx1_a", ea, ex.a_mask)
         contexts = (None, None)
         if cfg.variant in ("dan", "dan-no-ans-attn"):
-            story = seq("ctx1_qa", np.concatenate([eq, ea]))
             mask = np.concatenate([ex.q_mask, ex.a_mask])
+            story = seq("ctx1_qa", np.concatenate([eq, ea]), mask)
             contexts = (context(hq, story, mask),
                         context(ha, story, mask) if cfg.variant == "dan" else None)
         elif cfg.variant == "qa-coattention":
             contexts = (context(hq, ha, ex.a_mask), context(ha, hq, ex.q_mask))
         hq, ha = (h if c is None else np.concatenate([h, c], axis=1)
                   for h, c in zip((hq, ha), contexts))
-        fw, bw = directions("ctx2_a", ha)
+        fw, bw = directions("ctx2_a", ha, ex.a_mask)
         answer = np.concatenate([fw[-1], bw[0]])
-        hq = seq("ctx2_q", hq)
+        hq = seq("ctx2_q", hq, ex.q_mask)
         joined = np.concatenate([hq, np.tile(answer, (len(hq), 1))], axis=1)
         logits = joined @ params["dense.W"].T + params["dense.b"]
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
