@@ -3,8 +3,9 @@
 A sequence is one time-major ``(T, B, d)`` tensor. A BLSTM runs both
 directions as one ``tc.lstm_cell`` op over the whole sequence, where a PAD step
 is a no-op; a first-layer BLSTM reads the ``(T, B)`` token ids instead and
-embeds each distinct token once. Attention takes batch-first ``(B, T, d)``
-views, which ``tc.transpose`` makes.
+embeds each distinct token once. Attention is one ``tc.attend`` op over
+batch-first ``(B, T, d)`` views, which ``tc.transpose`` makes; it computes
+only the batch's live block of source steps and story positions.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from . import tensor as tc
 from .corpus import PAD
 from .errors import ShapeError, VocabError
 from .tensor import Tensor
-
-NEG_INF = -1e9  # additive mask value; exp underflows to exactly 0.0
 
 
 def glorot(rng, n_out: int, n_in: int) -> np.ndarray:
@@ -143,20 +142,18 @@ class BLSTMLayer:
         return out
 
 
-def attend_step(src: Tensor, story: Tensor, story_mask):
-    """Dot-product attention of every step of a source over a story.
+def attend_step(src: Tensor, story: Tensor, src_mask, story_mask) -> Tensor:
+    """The (B, T, d) context of a (B, T, d) source over a (B, S, d) story: one
+    ``tc.attend`` op, under the name the benchmark times attention by."""
+    return tc.attend(src, story, src_mask, story_mask)
 
-    ``src`` is (B, T, d) and ``story`` is (B, S, d); ``story_mask`` is the
-    (B, S) 0/1 array of real story positions. Padded positions get a
-    ``NEG_INF`` logit and so exactly zero weight. Returns ``(context,
-    weights)``: the (B, T, d) weight-averaged story rows and the (B, T, S)
-    row-softmax of the masked ``src . story`` logits.
-    """
-    scores = tc.bmm(src, tc.transpose(story, (0, 2, 1)))
-    bias = np.where(np.asarray(story_mask) > 0, 0.0, NEG_INF)[:, None, :]
-    weights = tc.softmax_rows(
-        tc.add(scores, tc.constant(np.broadcast_to(bias, scores.shape))))
-    return tc.bmm(weights, story), weights
+
+def attention_weights(src, story, src_mask, story_mask) -> np.ndarray:
+    """The (B, T, S) weights of ``attend_step`` over the same arguments as
+    arrays: its context is ``weights @ story``."""
+    weights = tc._masked_softmax(src @ np.swapaxes(story, 1, 2), story_mask)
+    weights[:, ~np.any(np.asarray(src_mask) > 0, axis=0)] = 0.0
+    return weights
 
 
 def dense_shared(h: Tensor, w: Tensor, b: Tensor) -> Tensor:

@@ -132,8 +132,8 @@ class Model:
         The first BLSTMs read the time-major (T, B) token ids, the story's
         being the question's then the answer's; from there each sequence is
         one time-major (T, B, d) tensor up to the second BLSTMs. Attention
-        reads (B, T, d) views, and the head transposes the question encoding
-        to (B, T_q, d) once.
+        reads (B, T, d) views and the masks of its source and story, and the
+        head transposes the question encoding to (B, T_q, d) once.
 
         A PAD step is a no-op in every BLSTM (the second ones read ``q_mask``
         and ``a_mask``) and gets zero attention weight, so the rows of real
@@ -172,13 +172,13 @@ class Model:
             story = swap_time_batch(
                 drop(self.ctx1_qa.seq(np.concatenate([xq, xa]))))
             mask = np.concatenate([qm, am], axis=1)
-            cq, _ = layers.attend_step(swap_time_batch(hq1), story, mask)
+            cq = layers.attend_step(swap_time_batch(hq1), story, qm, mask)
             if cfg.variant == "dan":
-                ca, _ = layers.attend_step(swap_time_batch(ha1), story, mask)
+                ca = layers.attend_step(swap_time_batch(ha1), story, am, mask)
         elif cfg.variant == "qa-coattention":
             story_q, story_a = swap_time_batch(hq1), swap_time_batch(ha1)
-            cq, _ = layers.attend_step(story_q, story_a, am)
-            ca, _ = layers.attend_step(story_a, story_q, qm)
+            cq = layers.attend_step(story_q, story_a, qm, am)
+            ca = layers.attend_step(story_a, story_q, am, qm)
 
         hq2 = hq1 if cq is None else tc.concat(hq1, swap_time_batch(cq), axis=2)
         ha2 = ha1 if ca is None else tc.concat(ha1, swap_time_batch(ca), axis=2)

@@ -15,7 +15,7 @@ tape mutates only the buffers it allocated itself.
 
 Sequences are single time-major ``(T, B, d)`` tensors, or for ``lstm_cell``
 ``(U, d)`` rows and a ``(T, B)`` index into them; ``transpose`` gives the
-``(B, T, d)`` views that ``bmm`` batches over.
+``(B, T, d)`` views that ``attend`` reads, over the steps some row reads.
 """
 
 from __future__ import annotations
@@ -164,24 +164,18 @@ def constant(data) -> Tensor:
     return Tensor(data)
 
 
-def parameter(data) -> Tensor:
-    return Tensor(data, requires_grad=True)
+def _masked_softmax(logits, mask):
+    """In-place softmax of (B, T, S) ``logits`` over the last axis, at the positions
+    where the (B, S) ``mask`` is nonzero: the rest, and rows with none, get 0.0."""
+    np.copyto(logits, -np.inf, where=np.asarray(mask)[:, None] <= 0)
+    logits -= np.maximum(logits.max(axis=-1, keepdims=True, initial=-np.inf), -1e300)
+    np.exp(logits, out=logits)
+    logits /= np.maximum(logits.sum(axis=-1, keepdims=True), 1.0)  # 0 or >= 1
+    return logits
 
 
 # ---------------------------------------------------------------------------
 # core operations
-
-
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Stacked matrix product over identical leading batch dimensions."""
-    if (a.data.ndim < 3 or a.data.ndim != b.data.ndim
-            or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]):
-        raise ShapeError(f"bmm shapes incompatible: {a.shape} @ {b.shape}")
-
-    def backward(g):
-        return g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g
-
-    return _wrap(a.data @ b.data, (a, b), backward)
 
 
 def transpose(x: Tensor, axes) -> Tensor:
@@ -238,26 +232,6 @@ def concat(a: Tensor, b: Tensor, axis: int) -> Tensor:
     return _wrap(np.concatenate([a.data, b.data], axis=ax), (a, b), backward)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")
-
-    def backward(g):
-        return g, g
-
-    return _wrap(a.data + b.data, (a, b), backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-
-    def backward(g):
-        return g * b.data, g * a.data
-
-    return _wrap(a.data * b.data, (a, b), backward)
-
-
 def softmax_rows(x: Tensor) -> Tensor:
     """Softmax over the last axis, numerically stabilized by max subtraction."""
     if x.data.ndim < 1 or x.shape[-1] < 1:
@@ -273,11 +247,37 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _wrap(out, (x,), backward)
 
 
-def tensor_sum(x: Tensor) -> Tensor:
-    def backward(g):
-        return (np.full(x.data.shape, float(g.reshape(()))),)
+def attend(src: Tensor, story: Tensor, src_mask, story_mask) -> Tensor:
+    """Dot-product attention of every source step over a story, as one op.
 
-    return _wrap(np.asarray(x.data.sum()), (x,), backward)
+    ``src`` is (B, T, d), ``story`` (B, S, d), and the (B, T) ``src_mask`` and
+    (B, S) ``story_mask`` are nonzero at real steps. Row [b, t] averages the
+    story rows of b by the softmax of ``src[b, t] . story[b]`` over its real
+    positions (zero if none). Only the steps and positions where some row is
+    real are computed, forward and backward. That is exact: a dropped position
+    has weight 0 in every row, and a dropped step a zero context and gradient."""
+    src_mask, story_mask = np.asarray(src_mask) > 0, np.asarray(story_mask) > 0
+    if (src.data.ndim != 3 or story.data.ndim != 3 or story.shape[::2] != src.shape[::2]
+            or src_mask.shape != src.shape[:2] or story_mask.shape != story.shape[:2]):
+        raise ShapeError(f"attend shapes incompatible: src {src.shape}, story "
+                         f"{story.shape}, masks {src_mask.shape}, {story_mask.shape}")
+    rows = np.flatnonzero(src_mask.any(axis=0))  # the live block
+    cols = np.flatnonzero(story_mask.any(axis=0))
+    x, s = src.data[:, rows], story.data[:, cols]
+    weights = _masked_softmax(x @ s.transpose(0, 2, 1), story_mask[:, cols])
+    out = np.zeros(src.shape)
+    out[:, rows] = weights @ s
+
+    def backward(g):
+        g = g[:, rows]
+        gl = g @ s.transpose(0, 2, 1)  # the weights' gradient, then the logits'
+        gl = (gl - (gl * weights).sum(axis=-1, keepdims=True)) * weights
+        gx, gs = np.zeros(src.shape), np.zeros(story.shape)
+        gx[:, rows] = gl @ s
+        gs[:, cols] = gl.transpose(0, 2, 1) @ x + weights.transpose(0, 2, 1) @ g
+        return gx, gs
+
+    return _wrap(out, (src, story), backward)
 
 
 def cross_entropy(p: Tensor, y_onehot: Tensor, mask: Tensor) -> Tensor:
@@ -390,8 +390,8 @@ def lstm_cell(x: Tensor, fw, bw, idx=None, mask=None) -> Tensor:
     n = len(kept)
     span = slice(kept[0], kept[-1] + 1) if n and kept[-1] - kept[0] == n - 1 else kept
     real = real[span]
-    pad = ~np.stack([real, real[::-1]], axis=1)[..., None]  # (n, 2, B, 1), step order
-    partial = pad.any(axis=(1, 2, 3)).tolist()
+    pad = None if real.all() else ~np.stack([real, real[::-1]], axis=1)[..., None]
+    partial = [False] * n if pad is None else pad.any(axis=(1, 2, 3)).tolist()
     src = x.data[span] if idx is None else x.data
     steps = range(n) if idx is None else idx[span]
     hs = np.empty((n, 2, batch, hdim))  # in step order
@@ -425,13 +425,16 @@ def lstm_cell(x: Tensor, fw, bw, idx=None, mask=None) -> Tensor:
     states = np.zeros((n + 2, batch, 2, hdim))  # time-major, a zero state at each end
     states[1:-1, :, 0], states[1:-1, :, 1] = hs[:, 0], hs[::-1, 1]
     at = np.cumsum(live)  # the states row the forward direction holds after step t
-    out = np.stack([states[at, :, 0], states[at + ~live, :, 1]], axis=2)
+    out = states[1:-1] if n == t_len else np.stack(  # a view when every step is computed
+        [states[at, :, 0], states[at + ~live, :, 1]], axis=2)
 
     def backward(g):
         g = g.reshape(t_len, batch, 2, hdim)
-        gh_all = np.empty((n, 2, batch, hdim))  # step order, skipped steps summed in
-        np.add.reduceat(g[:, :, 0], kept, axis=0, out=gh_all[:, 0])
-        np.add.reduceat(g[::-1, :, 1], t_len - 1 - kept[::-1], axis=0, out=gh_all[:, 1])
+        g_fw, g_bw = g[:, :, 0], g[::-1, :, 1]  # in step order
+        if n < t_len:  # a computed step sums in the skipped steps that hold its state
+            g_fw = np.add.reduceat(g_fw, kept, axis=0)
+            g_bw = np.add.reduceat(g_bw, t_len - 1 - kept[::-1], axis=0)
+        gh_all = np.stack([g_fw, g_bw], axis=1)  # a copy, which the loop adds into
         gz = np.empty((n, batch, 2, g4))  # time-major, as the GEMMs read
         gzs = np.empty((2, batch, g4))
         gh_rec = gc_next = 0.0

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from danqa import tensor as tc
 from danqa.errors import ConfigError, ShapeError, VocabError
 from danqa.layers import (BLSTMLayer, EmbeddingTable, MaskedSeq, attend_step,
-                          dense_shared)
-from util import (fd_gradient, max_rel_err, reference_attention,
-                  reference_direction)
+                          attention_weights, dense_shared)
+from util import (add, fd_gradient, max_rel_err, mul, parameter,
+                  reference_attention, reference_direction, tensor_sum)
 
 
 def zeroed_layer(input_dim, output_dim, seed=0):
@@ -44,12 +44,13 @@ def tensors_made(fn):
 
 def attention(src, story, mask=None):
     """Attend every (T, d) ``src`` row over a (S, d) story in one
-    ``attend_step`` call; (context, weights) as (T, d) and (T, S) arrays."""
+    ``attend_step`` call; (context, weights) as (T, d) and (T, S) arrays,
+    the weights read by ``attention_weights``."""
     src, story = np.asarray(src, dtype=float), np.asarray(story, dtype=float)
     mask = np.ones(len(story)) if mask is None else np.asarray(mask)
-    context, weights = attend_step(tc.constant(src[None]),
-                                   tc.constant(story[None]), mask[None])
-    return context.data[0], weights.data[0]
+    args = (src[None], story[None], np.ones((1, len(src))), mask[None])
+    context = attend_step(tc.constant(args[0]), tc.constant(args[1]), *args[2:])
+    return context.data[0], attention_weights(*args)[0]
 
 
 class TestEmbedding:
@@ -65,7 +66,7 @@ class TestEmbedding:
 
     def test_repeated_token_gradient_accumulates(self):
         table = EmbeddingTable.random(5, 8, np.random.default_rng(2))
-        tc.tensor_sum(table.lookup([3, 3])).backward()
+        tensor_sum(table.lookup([3, 3])).backward()
         grad = table.table.grad
         np.testing.assert_array_equal(grad[:, 3], np.full(5, 2.0))
         grad[:, 3] = 0.0
@@ -192,8 +193,8 @@ class TestBLSTM:
         w_pool = tc.constant(rng.standard_normal((3, 4)))
 
         def build():
-            return tc.add(tc.tensor_sum(tc.mul(layer.seq(ids), w_seq)),
-                          tc.tensor_sum(tc.mul(layer.pool(ids), w_pool)))
+            return add(tensor_sum(mul(layer.seq(ids), w_seq)),
+                       tensor_sum(mul(layer.pool(ids), w_pool)))
 
         build().backward()
         table = layer.embedding.table
@@ -204,13 +205,13 @@ class TestBLSTM:
     def test_batched_seq_gradients_match_finite_differences(self):
         rng = np.random.default_rng(12)
         layer = BLSTMLayer(3, 4, rng)
-        x = tc.parameter(rng.standard_normal((3, 2, 3)))
+        x = parameter(rng.standard_normal((3, 2, 3)))
         w_seq = tc.constant(rng.standard_normal((3, 2, 4)))
         w_pool = tc.constant(rng.standard_normal((2, 4)))
 
         def build():
-            return tc.add(tc.tensor_sum(tc.mul(layer.seq(x), w_seq)),
-                          tc.tensor_sum(tc.mul(layer.pool(x), w_pool)))
+            return add(tensor_sum(mul(layer.seq(x), w_seq)),
+                       tensor_sum(mul(layer.pool(x), w_pool)))
 
         build().backward()
         for t in (x, *layer.params("x").values()):
@@ -303,14 +304,16 @@ class TestAttention:
         stories = rng.standard_normal((3, 5, 4))
         masks = np.array([[1, 1, 1, 0, 1], [1, 1, 1, 1, 1], [1, 0, 0, 0, 0]],
                          dtype=float)
-        context, weights = attend_step(tc.constant(src), tc.constant(stories),
-                                       masks)
+        src_mask = np.ones((3, 2))
+        context = attend_step(tc.constant(src), tc.constant(stories), src_mask,
+                              masks)
+        weights = attention_weights(src, stories, src_mask, masks)
         for b in range(3):
             for t in range(2):
                 logits = np.where(masks[b] > 0, stories[b] @ src[b, t], -np.inf)
                 ref = np.exp(logits - logits.max())
                 ref /= ref.sum()
-                np.testing.assert_allclose(weights.data[b, t], ref, atol=1e-12)
+                np.testing.assert_allclose(weights[b, t], ref, atol=1e-12)
                 np.testing.assert_allclose(context.data[b, t], ref @ stories[b],
                                            atol=1e-12)
 
@@ -323,25 +326,77 @@ class TestAttention:
         story = rng.standard_normal((batch, s_len, dim))
         mask = (rng.random((batch, s_len)) < 0.6).astype(float)
         mask[np.arange(batch), rng.integers(s_len, size=batch)] = 1.0
-        context, weights = attend_step(tc.constant(src), tc.constant(story),
-                                       mask)
+        src_mask = np.ones((batch, t_len))
+        context = attend_step(tc.constant(src), tc.constant(story), src_mask,
+                              mask)
+        weights = attention_weights(src, story, src_mask, mask)
         ref_context, ref_weights = reference_attention(src, story, mask)
-        np.testing.assert_allclose(weights.data, ref_weights, rtol=0,
-                                   atol=1e-12)
+        np.testing.assert_allclose(weights, ref_weights, rtol=0, atol=1e-12)
         np.testing.assert_allclose(context.data, ref_context, rtol=0,
                                    atol=1e-12)
-        assert np.all(np.where(mask[:, None, :] == 0, weights.data, 0.0) == 0.0)
+        assert np.all(np.where(mask[:, None, :] == 0, weights, 0.0) == 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 6),
+           st.integers(1, 4), st.booleans(), st.booleans(), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_live_block_matches_reference(self, batch, t_len, s_len, dim,
+                                          dead_story_row, dead_src_row,
+                                          no_story, seed):
+        """With ragged masks, the op's context is the reference's on every
+        row, and ``attention_weights`` the weights it averages the story
+        with. Steps where no source row is real get an exactly zero context
+        and gradient; PAD story positions an exactly zero gradient. The flags
+        make one story row all PAD, one source row all PAD, and every story
+        position PAD."""
+        rng = np.random.default_rng(seed)
+        src_mask = rng.random((batch, t_len)) < 0.6
+        story_mask = rng.random((batch, s_len)) < 0.6
+        if dead_story_row:
+            story_mask[rng.integers(batch)] = False
+        if dead_src_row:
+            src_mask[rng.integers(batch)] = False
+        if no_story:
+            story_mask[:] = False
+        src = parameter(rng.standard_normal((batch, t_len, dim)))
+        story = parameter(rng.standard_normal((batch, s_len, dim)))
+        context = attend_step(src, story, src_mask, story_mask)
+        weights = attention_weights(src.data, story.data, src_mask, story_mask)
+        ref_context, ref_weights = reference_attention(
+            src.data, story.data, story_mask, src_mask)
+        np.testing.assert_allclose(context.data, ref_context, rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(weights, ref_weights, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(context.data, weights @ story.data, rtol=0,
+                                   atol=1e-12)
+        dead = ~src_mask.any(axis=0)
+        assert np.all(context.data[:, dead] == 0.0)
+        tensor_sum(mul(context, tc.constant(
+            rng.standard_normal(context.shape)))).backward()
+        assert np.all(src.grad[:, dead] == 0.0)
+        assert np.all(src.grad[~story_mask.any(axis=1)] == 0.0)
+        assert np.all(story.grad[~story_mask] == 0.0)
 
     def test_attention_gradients(self):
+        self.check_gradients(np.ones((3, 2)), np.ones((3, 5)))
+
+    def test_attention_gradients_with_ragged_masks(self):
+        # source step 1 PAD in every row and step 0 in row 0; story row 1 all
+        # PAD, and rows 0 and 2 with PAD positions
+        src_mask, mask = np.ones((3, 2)), np.ones((3, 5))
+        src_mask[:, 1] = src_mask[0, 0] = 0.0
+        mask[0, [1, 4]] = mask[1] = mask[2, 0] = 0.0
+        self.check_gradients(src_mask, mask)
+
+    @staticmethod
+    def check_gradients(src_mask, mask):
         rng = np.random.default_rng(13)
-        src = tc.parameter(rng.standard_normal((3, 2, 4)))
-        story = tc.parameter(rng.standard_normal((3, 5, 4)))
-        mask = np.ones((3, 5))
+        src = parameter(rng.standard_normal((3, 2, 4)))
+        story = parameter(rng.standard_normal((3, 5, 4)))
         w = tc.constant(rng.standard_normal((3, 2, 4)))
 
         def build():
-            context, _ = attend_step(src, story, mask)
-            return tc.tensor_sum(tc.mul(context, w))
+            return tensor_sum(mul(attend_step(src, story, src_mask, mask), w))
 
         build().backward()
         for t in (src, story):
@@ -400,12 +455,12 @@ class TestDenseShared:
     def test_weight_gradient_accumulates_over_positions(self):
         rng = np.random.default_rng(18)
         h = tc.constant(rng.standard_normal((6, 3)))
-        w = tc.parameter(rng.standard_normal((4, 3)))
-        b = tc.parameter(rng.standard_normal(4))
+        w = parameter(rng.standard_normal((4, 3)))
+        b = parameter(rng.standard_normal(4))
         v = tc.constant(rng.standard_normal((6, 4)))
 
         def build():
-            return tc.tensor_sum(tc.mul(dense_shared(h, w, b), v))
+            return tensor_sum(mul(dense_shared(h, w, b), v))
 
         build().backward()
         for t in (w, b):

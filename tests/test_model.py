@@ -179,8 +179,13 @@ class TestBuild:
         model.forward_batch(examples[:1])
         # the question attends over the answer, then the answer over the question
         attends = [args for args, _ in calls["attend_step"]]
-        assert [story.shape[1] for _, story, _ in attends] == [cfg.t_a, cfg.t_q]
-        assert [src.shape[1] for src, _, _ in attends] == [cfg.t_q, cfg.t_a]
+        assert [story.shape[1] for _, story, _, _ in attends] == [cfg.t_a, cfg.t_q]
+        assert [src.shape[1] for src, _, _, _ in attends] == [cfg.t_q, cfg.t_a]
+        # each side's mask is the source mask of one call, the story's of the other
+        qm, am = examples[0].q_mask[None], examples[0].a_mask[None]
+        for (_, _, src_mask, story_mask), (sm, tm) in zip(attends, ((qm, am), (am, qm))):
+            np.testing.assert_array_equal(src_mask, sm)
+            np.testing.assert_array_equal(story_mask, tm)
 
     @pytest.mark.parametrize("variant, n_calls", [
         ("dan", 2), ("dan-no-ans-attn", 1), ("qa-coattention", 2),

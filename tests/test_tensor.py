@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from danqa import tensor as tc
 from danqa.errors import ContractError, DomainError, ShapeError
-from util import fd_gradient, max_rel_err, reference_direction
+from util import (add, bmm, fd_gradient, max_rel_err, mul, parameter,
+                  reference_direction, tensor_sum)
 
 
 def gate_step(z):
@@ -57,30 +58,30 @@ def directions(out, t_len, batch):
 
 
 class TestMatmul:
-    """The matrix product, ``bmm``, over a leading batch axis."""
+    """The test op ``bmm``: the matrix product over a leading batch axis."""
 
     def test_identity(self):
-        out = tc.bmm(tc.constant(np.eye(2)[None]),
-                     tc.constant([[[1., 2.], [3., 4.]]]))
+        out = bmm(tc.constant(np.eye(2)[None]),
+                  tc.constant([[[1., 2.], [3., 4.]]]))
         np.testing.assert_array_equal(out.data, [[[1., 2.], [3., 4.]]])
 
     def test_hand_product(self):
-        out = tc.bmm(tc.constant([[[1., 2.]]]), tc.constant([[[3.], [4.]]]))
+        out = bmm(tc.constant([[[1., 2.]]]), tc.constant([[[3.], [4.]]]))
         np.testing.assert_array_equal(out.data, [[[11.]]])
 
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(1, 2, 3\).*\(1, 2, 3\)"):
-            tc.bmm(tc.constant(np.zeros((1, 2, 3))),
-                   tc.constant(np.zeros((1, 2, 3))))
+            bmm(tc.constant(np.zeros((1, 2, 3))),
+                tc.constant(np.zeros((1, 2, 3))))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
-        a = tc.parameter(rng.standard_normal((2, 3, 4)))
-        b = tc.parameter(rng.standard_normal((2, 4, 2)))
-        tc.tensor_sum(tc.bmm(a, b)).backward()
+        a = parameter(rng.standard_normal((2, 3, 4)))
+        b = parameter(rng.standard_normal((2, 4, 2)))
+        tensor_sum(bmm(a, b)).backward()
 
         def loss():
-            return tc.tensor_sum(tc.bmm(a, b)).item()
+            return tensor_sum(bmm(a, b)).item()
 
         fd_a = fd_gradient(loss, a.data)
         fd_b = fd_gradient(loss, b.data)
@@ -100,15 +101,15 @@ class TestSoftmaxRows:
 
     def test_row_sums_and_gradient(self):
         rng = np.random.default_rng(1)
-        x = tc.parameter(rng.standard_normal((2, 5)))
+        x = parameter(rng.standard_normal((2, 5)))
         w = rng.standard_normal((2, 5))
         out = tc.softmax_rows(x)
         np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-12)
-        tc.tensor_sum(tc.mul(out, tc.constant(w))).backward()
+        tensor_sum(mul(out, tc.constant(w))).backward()
 
         def loss():
-            return tc.tensor_sum(
-                tc.mul(tc.softmax_rows(x), tc.constant(w))).item()
+            return tensor_sum(
+                mul(tc.softmax_rows(x), tc.constant(w))).item()
 
         assert max_rel_err(x.grad, fd_gradient(loss, x.data)) <= 1e-6
 
@@ -135,9 +136,9 @@ class TestConcat:
         assert out.shape == (82, 256)
 
     def test_backward_splits(self):
-        a = tc.parameter(np.zeros((2, 3)))
-        b = tc.parameter(np.zeros((2, 2)))
-        tc.tensor_sum(tc.concat(a, b, axis=1)).backward()
+        a = parameter(np.zeros((2, 3)))
+        b = parameter(np.zeros((2, 2)))
+        tensor_sum(tc.concat(a, b, axis=1)).backward()
         np.testing.assert_array_equal(a.grad, np.ones((2, 3)))
         np.testing.assert_array_equal(b.grad, np.ones((2, 2)))
 
@@ -148,13 +149,13 @@ class TestConcat:
 
     def test_concat_then_split_is_identity(self):
         rng = np.random.default_rng(2)
-        a = tc.parameter(rng.standard_normal((3, 4)))
-        b = tc.parameter(rng.standard_normal((3, 2)))
+        a = parameter(rng.standard_normal((3, 4)))
+        b = parameter(rng.standard_normal((3, 2)))
         joined = tc.concat(a, b, axis=1)
         back_a, back_b = joined[:, 0:4], joined[:, 4:6]
         np.testing.assert_array_equal(back_a.data, a.data)
         np.testing.assert_array_equal(back_b.data, b.data)
-        tc.tensor_sum(back_a).backward()
+        tensor_sum(back_a).backward()
         np.testing.assert_array_equal(a.grad, np.ones((3, 4)))
         np.testing.assert_array_equal(b.grad, np.zeros((3, 2)))
 
@@ -163,8 +164,8 @@ class TestIndex:
     """``x[key]`` views; their dense gradients add with every other one."""
 
     def test_overlapping_slices_add(self):
-        x = tc.parameter(np.zeros((4, 3)))
-        tc.add(tc.tensor_sum(x[0:3]), tc.tensor_sum(x[1:4])).backward()
+        x = parameter(np.zeros((4, 3)))
+        add(tensor_sum(x[0:3]), tensor_sum(x[1:4])).backward()
         np.testing.assert_array_equal(x.grad, np.repeat([[1.], [2.], [2.], [1.]],
                                                         3, axis=1))
 
@@ -173,31 +174,31 @@ class TestIndex:
         # the full gradient reaches y as the very array add() also hands to
         # z, so adding the slice into it in place would corrupt z's gradient
         rng = np.random.default_rng(11)
-        x = tc.parameter(rng.standard_normal((4, 3)))
-        other = tc.parameter(rng.standard_normal((4, 3)))
+        x = parameter(rng.standard_normal((4, 3)))
+        other = parameter(rng.standard_normal((4, 3)))
         w_full = rng.standard_normal((4, 3))
         w_part = rng.standard_normal((2, 3))
-        y = tc.mul(x, tc.constant(np.full((4, 3), 2.0)))
-        z = tc.mul(other, tc.constant(np.full((4, 3), 3.0)))
+        y = mul(x, tc.constant(np.full((4, 3), 2.0)))
+        z = mul(other, tc.constant(np.full((4, 3), 3.0)))
 
         def part():
-            return tc.tensor_sum(tc.mul(y[1:3], tc.constant(w_part)))
+            return tensor_sum(mul(y[1:3], tc.constant(w_part)))
 
         def full():
-            return tc.tensor_sum(tc.mul(tc.add(y, z), tc.constant(w_full)))
+            return tensor_sum(mul(add(y, z), tc.constant(w_full)))
 
         first, second = (part(), full()) if slice_first else (full(), part())
-        tc.add(first, second).backward()
+        add(first, second).backward()
         expected = w_full.copy()
         expected[1:3] += w_part
         np.testing.assert_allclose(x.grad, 2.0 * expected, rtol=1e-15)
         np.testing.assert_array_equal(other.grad, 3.0 * w_full)
 
     def test_leaf_parameter_gets_parts(self):
-        x = tc.parameter(np.zeros((3, 4)))
+        x = parameter(np.zeros((3, 4)))
         w = np.arange(3.0)
-        loss = tc.add(tc.tensor_sum(tc.mul(x[:, 1], tc.constant(w))),
-                      tc.tensor_sum(x[0, 0:2]))
+        loss = add(tensor_sum(mul(x[:, 1], tc.constant(w))),
+                   tensor_sum(x[0, 0:2]))
         loss.backward()
         expected = np.zeros((3, 4))
         expected[:, 1] = w
@@ -234,13 +235,13 @@ class TestTransposeRepeat:
 
     def test_transpose_matches_numpy_and_finite_differences(self):
         rng = np.random.default_rng(19)
-        x = tc.parameter(rng.standard_normal((2, 3, 4)))
+        x = parameter(rng.standard_normal((2, 3, 4)))
         w = tc.constant(rng.standard_normal((4, 2, 3)))
         np.testing.assert_array_equal(tc.transpose(x, (2, 0, 1)).data,
                                       np.transpose(x.data, (2, 0, 1)))
 
         def build():
-            return tc.tensor_sum(tc.mul(tc.transpose(x, (2, 0, 1)), w))
+            return tensor_sum(mul(tc.transpose(x, (2, 0, 1)), w))
 
         build().backward()
         assert max_rel_err(x.grad, fd_gradient(lambda: build().item(),
@@ -253,7 +254,7 @@ class TestTransposeRepeat:
     @pytest.mark.parametrize("axis", [0, 1, 2, -1])
     def test_repeat_copies_and_sums_back(self, axis):
         rng = np.random.default_rng(20)
-        x = tc.parameter(rng.standard_normal((2, 3)))
+        x = parameter(rng.standard_normal((2, 3)))
         out = tc.repeat(x, 4, axis=axis)
         assert out.shape[axis] == 4
         for k in range(4):
@@ -262,7 +263,7 @@ class TestTransposeRepeat:
         w = tc.constant(rng.standard_normal(out.shape))
 
         def build():
-            return tc.tensor_sum(tc.mul(tc.repeat(x, 4, axis=axis), w))
+            return tensor_sum(mul(tc.repeat(x, 4, axis=axis), w))
 
         build().backward()
         np.testing.assert_allclose(x.grad, w.data.sum(axis=axis), rtol=1e-15)
@@ -290,23 +291,23 @@ class TestPointwise:
         h = gate_step(np.zeros((3, 1, 4)))
         np.testing.assert_array_equal(h.data, np.zeros((3, 1)))
 
-    def test_binary_shape_mismatch(self):
+    def test_binary_shape_mismatch(self):  # of the test ops add and mul
         a, b = tc.constant(np.zeros((2, 2))), tc.constant(np.zeros((2, 3)))
         with pytest.raises(ShapeError):
-            tc.add(a, b)
+            add(a, b)
         with pytest.raises(ShapeError):
-            tc.mul(a, b)
+            mul(a, b)
 
     @pytest.mark.parametrize("op", ["add", "mul"])
     def test_gradients_match_finite_differences(self, op):
         rng = np.random.default_rng(3)
-        x = tc.parameter(rng.standard_normal((4, 4)))
-        y = tc.parameter(rng.standard_normal((4, 4)))
+        x = parameter(rng.standard_normal((4, 4)))
+        y = parameter(rng.standard_normal((4, 4)))
 
         def build():
             if op == "add":
-                return tc.tensor_sum(tc.mul(tc.add(x, y), tc.constant(w)))
-            return tc.tensor_sum(tc.mul(tc.mul(x, y), tc.constant(w)))
+                return tensor_sum(mul(add(x, y), tc.constant(w)))
+            return tensor_sum(mul(mul(x, y), tc.constant(w)))
 
         w = rng.standard_normal((4, 4))
         build().backward()
@@ -362,7 +363,7 @@ class TestCrossEntropy:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         raw = rng.random((4, 3)) + 0.1
-        p = tc.parameter(raw / raw.sum(axis=1, keepdims=True))
+        p = parameter(raw / raw.sum(axis=1, keepdims=True))
         y = np.zeros((4, 3))
         y[np.arange(4), rng.integers(3, size=4)] = 1.0
         yt, mt = tc.constant(y), tc.constant(np.ones(4))
@@ -376,23 +377,23 @@ class TestCrossEntropy:
 
 class TestBackward:
     def test_sum_gives_ones(self):
-        x = tc.parameter(np.zeros((2, 3)))
-        tc.tensor_sum(x).backward()
+        x = parameter(np.zeros((2, 3)))
+        tensor_sum(x).backward()
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
     def test_disconnected_stays_zero(self):
-        x = tc.parameter(np.ones((2, 2)))
-        other = tc.parameter(np.ones((2, 2)))
-        tc.tensor_sum(x).backward()
+        x = parameter(np.ones((2, 2)))
+        other = parameter(np.ones((2, 2)))
+        tensor_sum(x).backward()
         np.testing.assert_array_equal(other.grad, np.zeros((2, 2)))
 
     def test_non_scalar_rejected(self):
         with pytest.raises(ContractError):
-            tc.parameter(np.zeros((2, 2))).backward()
+            parameter(np.zeros((2, 2))).backward()
 
     def test_repeated_backward_accumulates(self):
-        x = tc.parameter(np.array([[1.0, 2.0]]))
-        loss = tc.tensor_sum(tc.mul(x, x))
+        x = parameter(np.array([[1.0, 2.0]]))
+        loss = tensor_sum(mul(x, x))
         loss.backward()
         first = x.grad.copy()
         loss.backward()
@@ -401,12 +402,12 @@ class TestBackward:
     def test_tape_replay_determinism(self):
         def run():
             rng = np.random.default_rng(6)
-            a = tc.parameter(rng.standard_normal((1, 5, 5)))
-            b = tc.parameter(rng.standard_normal((1, 5, 20)))
-            z = tc.reshape(tc.bmm(a, b), (1, 5, 20))
-            h = gate_step(tc.concat(z, tc.mul(z, z), axis=0))
-            out = tc.softmax_rows(tc.concat(h, tc.mul(h, h), axis=1))
-            tc.tensor_sum(out).backward()
+            a = parameter(rng.standard_normal((1, 5, 5)))
+            b = parameter(rng.standard_normal((1, 5, 20)))
+            z = tc.reshape(bmm(a, b), (1, 5, 20))
+            h = gate_step(tc.concat(z, mul(z, z), axis=0))
+            out = tc.softmax_rows(tc.concat(h, mul(h, h), axis=1))
+            tensor_sum(out).backward()
             return a.grad.copy(), b.grad.copy()
 
         ga1, gb1 = run()
@@ -429,12 +430,12 @@ class TestFusedOps:
                 x, idx = rng.standard_normal((5, 4)), rng.integers(0, 4, (t_len, 3))
                 idx[0] = 2
             mask = GAPPY_MASK[:t_len] if masked else None
-            x = tc.parameter(x)
-            fw, bw = (tuple(map(tc.parameter, w)) for w in (fw, bw))
+            x = parameter(x)
+            fw, bw = (tuple(map(parameter, w)) for w in (fw, bw))
             v = tc.constant(rng.standard_normal((3 * t_len * 2, 2)))
 
             def build():
-                return tc.tensor_sum(tc.mul(tc.lstm_cell(x, fw, bw, idx, mask), v))
+                return tensor_sum(mul(tc.lstm_cell(x, fw, bw, idx, mask), v))
 
             build().backward()
             for t in (x, *fw, *bw):
@@ -457,21 +458,21 @@ class TestFusedOps:
         # an all-PAD mask leaves every state at zero and reads no input, on
         # the dense and the token-id path
         for inp, idx in ((x, None), (x[0], np.zeros((6, 3), int))):
-            inp = tc.parameter(inp)
+            inp = parameter(inp)
             nothing = tc.lstm_cell(inp, *args[1:], idx, np.zeros((6, 3), bool))
             np.testing.assert_array_equal(nothing.data, 0.0)
-            tc.tensor_sum(nothing).backward()
+            tensor_sum(nothing).backward()
             np.testing.assert_array_equal(inp.grad, 0.0)
 
     def test_lstm_cell_gradients(self):
         # gate pre-activations as inputs: the candidate, the cell carried
         # through the forget gate and the output gate each get a gradient
         rng = np.random.default_rng(9)
-        z = tc.parameter(rng.standard_normal((3, 3, 8)))
+        z = parameter(rng.standard_normal((3, 3, 8)))
         w = tc.constant(rng.standard_normal((9, 2)))
 
         def build():
-            return tc.tensor_sum(tc.mul(gate_step(z), w))
+            return tensor_sum(mul(gate_step(z), w))
 
         build().backward()
         assert np.all(z.grad[0, :, 2:4] == 0.0)  # no cell before step 0
@@ -531,18 +532,30 @@ class TestFusedOps:
 
     def test_lstm_cell_records_no_buffers_without_grad(self):
         x, fw, bw = lstm_inputs(np.random.default_rng(10), 4)
-        args = [tc.parameter(x), tuple(map(tc.parameter, fw)),
-                tuple(map(tc.parameter, bw))]
+        args = [parameter(x), tuple(map(parameter, fw)),
+                tuple(map(parameter, bw))]
         with tc.no_grad():
             plain = tc.lstm_cell(*args)
         assert plain._backward is None
         np.testing.assert_array_equal(plain.data, tc.lstm_cell(*args).data)
 
+    def test_attend_shape_error_names_the_shapes(self):
+        src, story = tc.constant(np.zeros((2, 3, 4))), tc.constant(np.zeros((2, 5, 4)))
+        with pytest.raises(ShapeError, match=r"src \(2, 3, 4\), story \(2, 5, 4\), "
+                                             r"masks \(2, 2\), \(2, 5\)"):
+            tc.attend(src, story, np.ones((2, 2)), np.ones((2, 5)))
+        with pytest.raises(ShapeError, match=r"story \(2, 5, 3\)"):
+            tc.attend(src, tc.constant(np.zeros((2, 5, 3))), np.ones((2, 3)),
+                      np.ones((2, 5)))
+        with pytest.raises(ShapeError, match=r"story \(1, 5, 4\)"):
+            tc.attend(src, tc.constant(np.zeros((1, 5, 4))), np.ones((2, 3)),
+                      np.ones((1, 5)))
+
     def test_gather_cols_scatter_adds(self):
-        table = tc.parameter(np.arange(12, dtype=float).reshape(3, 4))
+        table = parameter(np.arange(12, dtype=float).reshape(3, 4))
         out = tc.gather_cols(table, np.array([3, 3]))
         np.testing.assert_array_equal(out.data, [[3., 7., 11.], [3., 7., 11.]])
-        tc.tensor_sum(out).backward()
+        tensor_sum(out).backward()
         expected = np.zeros((3, 4))
         expected[:, 3] = 2.0
         np.testing.assert_array_equal(table.grad, expected)
@@ -552,18 +565,22 @@ def test_every_op_gradient_over_twenty_seeds():
     """Module invariant: rel err <= 1e-4 at step 1e-4 over >= 20 seeds."""
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        x = tc.parameter(rng.standard_normal((1, 3, 4)))
-        y = tc.parameter(rng.standard_normal((1, 4, 12)))
+        x = parameter(rng.standard_normal((1, 3, 4)))
+        y = parameter(rng.standard_normal((1, 4, 12)))
         w = tc.constant(rng.standard_normal((3, 6)))
+        w_ctx = tc.constant(rng.standard_normal((1, 3, 4)))
+        # attention with a dead source step and PAD story positions
+        src_mask, story_mask = [[1, 1, 0]], (np.arange(12) % 3 != 1)[None]
 
         def build():
-            m = tc.reshape(tc.bmm(x, y), (3, 12))
+            m = tc.reshape(bmm(x, y), (3, 12))
             swapped = tc.concat(m[:, 6:], m[:, :6], axis=1)
             h = gate_step(tc.reshape(tc.concat(m, swapped, axis=0), (2, 3, 12)))
             seq = tc.transpose(tc.reshape(h, (2, 3, 3)), (1, 0, 2))
             last = tc.repeat(h[3:6], 2, axis=1)
-            s = tc.softmax_rows(tc.reshape(tc.add(seq, last), (3, 6)))
-            return tc.tensor_sum(tc.mul(s, w))
+            s = tc.softmax_rows(tc.reshape(add(seq, last), (3, 6)))
+            ctx = tc.attend(x, tc.transpose(y, (0, 2, 1)), src_mask, story_mask)
+            return add(tensor_sum(mul(s, w)), tensor_sum(mul(ctx, w_ctx)))
 
         build().backward()
         for t in (x, y):

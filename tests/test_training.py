@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from danqa import tensor as tc
 from danqa.corpus import build_vocab, encode, synth_generate
 from danqa.errors import ContractError, NumericError
 from danqa.gradcheck import check_model, micro_batch
 from danqa.model import Model, ModelConfig
 from danqa.training import Adam, TrainConfig, batch_loss, evaluate_dataset, fit
+from util import parameter
 
 
 def setup_micro(task="compat", seed=0, n=8, variant="dan", **cfg_kw):
@@ -60,10 +60,30 @@ class TestBatchLoss:
         Adam(model.params()).step()
         np.testing.assert_array_equal(table.data[:, 0], 0.0)
 
+    @pytest.mark.parametrize("variant, ops", [
+        ("dan", 35), ("dan-no-ans-attn", 31), ("qa-s-blstm", 22),
+        ("qa-coattention", 30)])
+    def test_tape_size_is_pinned(self, variant, ops):
+        """The tape of one training loss, dropout included, holds this many
+        ops (tensors with a backward rule): one ``lstm_cell`` per BLSTM and
+        one ``attend`` per attention, so an op more per layer shows here."""
+        cfg, vocab, examples = setup_micro(variant=variant, dropout_rate=0.1)
+        loss = batch_loss(Model(cfg, vocab.size), examples, training=True,
+                          rng=np.random.default_rng(0))
+        seen, stack, found = {id(loss)}, [loss], 0
+        while stack:
+            node = stack.pop()
+            found += node._backward is not None
+            for parent in node._parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        assert found == ops
+
 
 class TestAdam:
     def test_zero_gradient_leaves_parameters(self):
-        p = tc.parameter(np.array([1.0, -2.0]))
+        p = parameter(np.array([1.0, -2.0]))
         adam = Adam({"w": p})
         adam.step()
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
@@ -71,7 +91,7 @@ class TestAdam:
 
     def test_first_step_closed_form(self):
         for g in (0.5, -3.0):
-            p = tc.parameter(np.array([2.0]))
+            p = parameter(np.array([2.0]))
             p.grad[:] = g
             adam = Adam({"w": p}, lr=0.001)
             adam.step()
@@ -80,14 +100,14 @@ class TestAdam:
             assert (p.data[0] - 2.0) * g < 0  # moves against the gradient
 
     def test_gradients_zeroed_after_step(self):
-        p = tc.parameter(np.array([1.0]))
+        p = parameter(np.array([1.0]))
         p.grad[:] = 5.0
         Adam({"w": p}).step()
         np.testing.assert_array_equal(p.grad, [0.0])
 
     def test_missing_moment_buffer_rejected(self):
-        adam = Adam({"w": tc.parameter(np.array([1.0]))})
-        adam.params["rogue"] = tc.parameter(np.array([2.0]))
+        adam = Adam({"w": parameter(np.array([1.0]))})
+        adam.params["rogue"] = parameter(np.array([2.0]))
         with pytest.raises(ContractError, match="rogue"):
             adam.step()
 

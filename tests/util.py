@@ -2,14 +2,17 @@
 
 The model oracles (``reference_step`` up to ``reference_forward``) compute
 the forward pass from plain arrays with textbook formulas, one example and
-one step at a time, without importing danqa.tensor. The reference scorer
+one step at a time, without danqa.tensor. The reference scorer
 re-implements the evaluation definitions naively and independently of
 danqa.metrics (explicit per-example loops, repeated max extraction instead
-of a sorted sweep) so agreement is meaningful.
+of a sorted sweep) so agreement is meaningful. The tape ops ``parameter``,
+``bmm``, ``add``, ``mul`` and ``tensor_sum`` are ones only tests use.
 """
 
 import numpy as np
 
+from danqa import tensor as tc
+from danqa.errors import ShapeError
 from danqa.labels import KIND_FUNCWORD, KIND_TARGET
 
 
@@ -60,17 +63,19 @@ def reference_direction(xs, wx, wh, b, reverse=False, mask=None):
     return np.concatenate(out)
 
 
-def reference_attention(src, story, mask):
-    """Per-row numpy softmax of ``src_t . story`` over the real positions;
-    a row with no real position weights every position alike."""
+def reference_attention(src, story, mask, src_mask=None):
+    """Per-row numpy softmax of ``src_t . story`` over the real positions; a
+    row with no real position, or at a step where no row of the (B, T)
+    ``src_mask`` is real (all are if None), gets zero weights and context."""
     batch, t_len, _ = src.shape
     context = np.zeros(src.shape)
     weights = np.zeros((batch, t_len, story.shape[1]))
     for b in range(batch):
         real = mask[b] > 0
-        if not real.any():
-            real[:] = True
         for t in range(t_len):
+            if not real.any() or (src_mask is not None
+                                  and not np.any(src_mask[:, t] > 0)):
+                continue
             logits = story[b, real] @ src[b, t]
             e = np.exp(logits - logits.max())
             weights[b, t, real] = e / e.sum()
@@ -127,6 +132,40 @@ def reference_forward(params, examples, cfg):
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         rows.append(e / e.sum(axis=1, keepdims=True))
     return np.concatenate(rows)
+
+
+def parameter(data):
+    return tc.Tensor(data, requires_grad=True)
+
+
+def bmm(a, b):
+    """Stacked matrix product over identical leading batch dimensions."""
+    if (a.data.ndim < 3 or a.data.ndim != b.data.ndim
+            or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]):
+        raise ShapeError(f"bmm shapes incompatible: {a.shape} @ {b.shape}")
+
+    def backward(g):
+        return g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g
+
+    return tc._wrap(a.data @ b.data, (a, b), backward)
+
+
+def add(a, b):
+    if a.shape != b.shape:
+        raise ShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")
+    return tc._wrap(a.data + b.data, (a, b), lambda g: (g, g))
+
+
+def mul(a, b):
+    if a.shape != b.shape:
+        raise ShapeError(f"mul shape mismatch: {a.shape} vs {b.shape}")
+    return tc._wrap(a.data * b.data, (a, b),
+                    lambda g: (g * b.data, g * a.data))
+
+
+def tensor_sum(x):
+    return tc._wrap(np.asarray(x.data.sum()), (x,),
+                    lambda g: (np.full(x.data.shape, float(g.reshape(()))),))
 
 
 def _f1(tp, fp, fn):
