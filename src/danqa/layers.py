@@ -148,14 +148,6 @@ def attend_step(src: Tensor, story: Tensor, src_mask, story_mask) -> Tensor:
     return tc.attend(src, story, src_mask, story_mask)
 
 
-def attention_weights(src, story, src_mask, story_mask) -> np.ndarray:
-    """The (B, T, S) weights of ``attend_step`` over the same arguments as
-    arrays: its context is ``weights @ story``."""
-    weights = tc._masked_softmax(src @ np.swapaxes(story, 1, 2), story_mask)
-    weights[:, ~np.any(np.asarray(src_mask) > 0, axis=0)] = 0.0
-    return weights
-
-
 def dense_shared(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Position-shared affine map from (B·T, d) features to (B·T, L) scores."""
     return tc.affine(h, w, b)

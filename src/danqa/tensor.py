@@ -390,8 +390,8 @@ def lstm_cell(x: Tensor, fw, bw, idx=None, mask=None) -> Tensor:
     n = len(kept)
     span = slice(kept[0], kept[-1] + 1) if n and kept[-1] - kept[0] == n - 1 else kept
     real = real[span]
-    pad = None if real.all() else ~np.stack([real, real[::-1]], axis=1)[..., None]
-    partial = [False] * n if pad is None else pad.any(axis=(1, 2, 3)).tolist()
+    pad = ~np.stack([real, real[::-1]], axis=1)[..., None]  # (n, 2, B, 1), step order
+    partial = pad.any(axis=(1, 2, 3)).tolist()
     src = x.data[span] if idx is None else x.data
     steps = range(n) if idx is None else idx[span]
     hs = np.empty((n, 2, batch, hdim))  # in step order
@@ -425,16 +425,13 @@ def lstm_cell(x: Tensor, fw, bw, idx=None, mask=None) -> Tensor:
     states = np.zeros((n + 2, batch, 2, hdim))  # time-major, a zero state at each end
     states[1:-1, :, 0], states[1:-1, :, 1] = hs[:, 0], hs[::-1, 1]
     at = np.cumsum(live)  # the states row the forward direction holds after step t
-    out = states[1:-1] if n == t_len else np.stack(  # a view when every step is computed
-        [states[at, :, 0], states[at + ~live, :, 1]], axis=2)
+    out = np.stack([states[at, :, 0], states[at + ~live, :, 1]], axis=2)
 
     def backward(g):
         g = g.reshape(t_len, batch, 2, hdim)
-        g_fw, g_bw = g[:, :, 0], g[::-1, :, 1]  # in step order
-        if n < t_len:  # a computed step sums in the skipped steps that hold its state
-            g_fw = np.add.reduceat(g_fw, kept, axis=0)
-            g_bw = np.add.reduceat(g_bw, t_len - 1 - kept[::-1], axis=0)
-        gh_all = np.stack([g_fw, g_bw], axis=1)  # a copy, which the loop adds into
+        gh_all = np.empty((n, 2, batch, hdim))  # step order, skipped steps summed in
+        np.add.reduceat(g[:, :, 0], kept, axis=0, out=gh_all[:, 0])
+        np.add.reduceat(g[::-1, :, 1], t_len - 1 - kept[::-1], axis=0, out=gh_all[:, 1])
         gz = np.empty((n, batch, 2, g4))  # time-major, as the GEMMs read
         gzs = np.empty((2, batch, g4))
         gh_rec = gc_next = 0.0

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from danqa import tensor as tc
 from danqa.errors import ConfigError, ShapeError, VocabError
 from danqa.layers import (BLSTMLayer, EmbeddingTable, MaskedSeq, attend_step,
-                          attention_weights, dense_shared)
-from util import (add, fd_gradient, max_rel_err, mul, parameter,
-                  reference_attention, reference_direction, tensor_sum)
+                          dense_shared)
+from util import (add, attention_weights, fd_gradient, max_rel_err, mul,
+                  parameter, reference_attention, reference_direction,
+                  tensor_sum)
 
 
 def zeroed_layer(input_dim, output_dim, seed=0):

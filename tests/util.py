@@ -6,7 +6,8 @@ one step at a time, without danqa.tensor. The reference scorer
 re-implements the evaluation definitions naively and independently of
 danqa.metrics (explicit per-example loops, repeated max extraction instead
 of a sorted sweep) so agreement is meaningful. The tape ops ``parameter``,
-``bmm``, ``add``, ``mul`` and ``tensor_sum`` are ones only tests use.
+``bmm``, ``add``, ``mul`` and ``tensor_sum`` and the weights reader
+``attention_weights`` are ones only tests use.
 """
 
 import numpy as np
@@ -166,6 +167,15 @@ def mul(a, b):
 def tensor_sum(x):
     return tc._wrap(np.asarray(x.data.sum()), (x,),
                     lambda g: (np.full(x.data.shape, float(g.reshape(()))),))
+
+
+def attention_weights(src, story, src_mask, story_mask):
+    """The (B, T, S) weights of ``layers.attend_step`` over the same arguments
+    as arrays, through the op's own masked softmax: its context is
+    ``weights @ story``."""
+    weights = tc._masked_softmax(src @ np.swapaxes(story, 1, 2), story_mask)
+    weights[:, ~np.any(np.asarray(src_mask) > 0, axis=0)] = 0.0
+    return weights
 
 
 def _f1(tp, fp, fn):
