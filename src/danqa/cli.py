@@ -18,10 +18,11 @@ from pathlib import Path
 from . import gradcheck as gradcheck_mod
 from .corpus import build_vocab, encode, load_corpus, save_corpus, split, synth_generate
 from .embeddings import init_table, load_vectors
-from .errors import (ConfigError, ContractError, DomainError, NumericError,
-                     ShapeError, UsageError, ValidationError, VocabError)
+from .errors import (ConfigError, ContractError, NumericError, ShapeError,
+                     UsageError, ValidationError, VocabError)
+from .labels import TASKS
 from .metrics import TABLE_HEADERS, render_table
-from .model import (Model, ModelConfig, decode_tuples, load_checkpoint,
+from .model import (VARIANTS, Model, ModelConfig, decode_tuples, load_checkpoint,
                     predict_label_batches, save_checkpoint)
 from .training import TrainConfig, evaluate_dataset, fit
 
@@ -283,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic labeled corpus")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--task", choices=("compat", "satisf"), required=True)
+    p.add_argument("--task", choices=TASKS, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mix", default="0.5,0.3,0.2")
     p.add_argument("--out", required=True)
@@ -291,10 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model on a labeled corpus")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--task", choices=("compat", "satisf"), required=True)
-    p.add_argument("--variant", default="dan",
-                   choices=("dan", "dan-no-ans-attn", "qa-s-blstm",
-                            "qa-coattention"))
+    p.add_argument("--task", choices=TASKS, required=True)
+    p.add_argument("--variant", default="dan", choices=VARIANTS)
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--batch", type=int, default=128)
     p.add_argument("--lr", type=float, default=0.001)
@@ -358,7 +357,7 @@ def main(argv=None) -> int:
     except (ValidationError, ConfigError, VocabError, ContractError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, ShapeError, DomainError) as exc:
+    except (NumericError, ShapeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

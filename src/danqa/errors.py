@@ -9,10 +9,6 @@ class ShapeError(DanqaError):
     """Tensor extents are incompatible for the requested operation."""
 
 
-class DomainError(DanqaError):
-    """Numeric input outside the mathematical domain of an operation."""
-
-
 class ContractError(DanqaError):
     """An API precondition was violated by the caller."""
 

@@ -89,13 +89,14 @@ SATISF = LabelSpace(
 )
 
 _SPACES = {"compat": COMPAT, "satisf": SATISF}
+TASKS = tuple(_SPACES)
 
 
 def get_space(task: str) -> LabelSpace:
     try:
         return _SPACES[task]
     except KeyError:
-        raise ConfigError(f"unknown task {task!r}; expected compat or satisf") from None
+        raise ConfigError(f"unknown task {task!r}; expected one of {TASKS}") from None
 
 
 def label_runs(label_indices):

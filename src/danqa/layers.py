@@ -1,11 +1,11 @@
 """Reusable network layers: embeddings, BLSTMs, attention, dense head.
 
-A sequence is one time-major ``(T, B, d)`` tensor. A BLSTM runs both
-directions as one ``tc.lstm_cell`` op over the whole sequence, where a PAD step
-is a no-op; a first-layer BLSTM reads the ``(T, B)`` token ids instead and
-embeds each distinct token once. Attention is one ``tc.attend`` op over
-batch-first ``(B, T, d)`` views, which ``tc.transpose`` makes; it computes
-only the batch's live block of source steps and story positions.
+A sequence is one time-major ``(T, B, d)`` tensor with a ``(T, B)`` mask of
+its real steps. A BLSTM runs both directions as one ``tc.lstm_cell`` op over
+the whole sequence, where a PAD step is a no-op; a first-layer BLSTM reads the
+``(T, B)`` token ids instead and embeds each distinct token once. Attention is
+one ``tc.attend`` op over time-major sources and stories. The head scores
+``(T·B, d)`` rows; its softmax lives in ``tc.cross_entropy``.
 """
 
 from __future__ import annotations
@@ -61,22 +61,6 @@ class EmbeddingTable:
         return tc.gather_cols(self.table, idx)
 
 
-class LSTMDirection:
-    """Parameters of one LSTM direction with fused gate weights.
-
-    ``wx`` is (4H, input_dim), ``wh`` (4H, H) and ``b`` (4H,), gate blocks
-    [input | forget | output | candidate]; ``BLSTMLayer`` hands them to
-    ``tc.lstm_cell`` as one ``(wx, wh, b)`` triple. The forget bias starts at 1.
-    """
-
-    def __init__(self, input_dim: int, hidden_dim: int, rng):
-        self.wx = Tensor(glorot(rng, 4 * hidden_dim, input_dim), requires_grad=True)
-        self.wh = Tensor(glorot(rng, 4 * hidden_dim, hidden_dim), requires_grad=True)
-        bias = np.zeros(4 * hidden_dim)
-        bias[hidden_dim:2 * hidden_dim] = 1.0
-        self.b = Tensor(bias, requires_grad=True)
-
-
 class MaskedSeq:
     """A (T, B, d) sequence ``x`` and its (T, B) bool ``mask`` of real steps.
     ``len``, ``[t]`` and ``shape`` read ``x``, as the benchmark's tracer sizes
@@ -100,6 +84,11 @@ class BLSTMLayer:
     from them; its PAD tokens are PAD steps. Otherwise it reads a time-major
     (T, B, input_dim) tensor, or a ``MaskedSeq`` of one with its real steps.
     A PAD step leaves both directions' states as they were.
+
+    ``fw`` and ``bw`` are each direction's ``(wx, wh, b)`` weights as
+    ``tc.lstm_cell`` takes them: ``wx`` (4H, input_dim), ``wh`` (4H, H) and
+    ``b`` (4H,), gate blocks [input | forget | output | candidate], with the
+    forget bias starting at 1.
     """
 
     def __init__(self, input_dim: int, output_dim: int, rng,
@@ -109,17 +98,23 @@ class BLSTMLayer:
         self.input_dim = input_dim
         self.output_dim = output_dim
         self.embedding = embedding
-        self.fw = LSTMDirection(input_dim, output_dim // 2, rng)
-        self.bw = LSTMDirection(input_dim, output_dim // 2, rng)
+        hdim = output_dim // 2
+
+        def direction():
+            bias = np.zeros(4 * hdim)
+            bias[hdim:2 * hdim] = 1.0
+            return tuple(Tensor(w, requires_grad=True) for w in (
+                glorot(rng, 4 * hdim, input_dim), glorot(rng, 4 * hdim, hdim), bias))
+
+        self.fw, self.bw = direction(), direction()
 
     def _run(self, x) -> Tensor:
         """One ``lstm_cell`` op: (T·B·2, H) states laid out (T, B, 2, H)."""
-        fw, bw = ((d.wx, d.wh, d.b) for d in (self.fw, self.bw))
         if self.embedding is None:
             x, mask = (x.x, x.mask) if isinstance(x, MaskedSeq) else (x, None)
-            return tc.lstm_cell(x, fw, bw, mask=mask)
+            return tc.lstm_cell(x, self.fw, self.bw, mask=mask)
         tokens, idx = np.unique(x, return_inverse=True)
-        return tc.lstm_cell(self.embedding.lookup(tokens), fw, bw,
+        return tc.lstm_cell(self.embedding.lookup(tokens), self.fw, self.bw,
                             idx.reshape(x.shape), x != PAD)
 
     def seq(self, x) -> Tensor:
@@ -134,20 +129,17 @@ class BLSTMLayer:
         return tc.concat(states[-2 * batch::2], states[1:2 * batch:2], axis=1)
 
     def params(self, prefix: str) -> dict:
-        out = {}
-        for tag, d in (("fw", self.fw), ("bw", self.bw)):
-            out[f"{prefix}.{tag}.Wx"] = d.wx
-            out[f"{prefix}.{tag}.Wh"] = d.wh
-            out[f"{prefix}.{tag}.b"] = d.b
-        return out
+        return {f"{prefix}.{tag}.{name}": p
+                for tag, weights in (("fw", self.fw), ("bw", self.bw))
+                for name, p in zip(("Wx", "Wh", "b"), weights)}
 
 
 def attend_step(src: Tensor, story: Tensor, src_mask, story_mask) -> Tensor:
-    """The (B, T, d) context of a (B, T, d) source over a (B, S, d) story: one
+    """The (T, B, d) context of a (T, B, d) source over an (S, B, d) story: one
     ``tc.attend`` op, under the name the benchmark times attention by."""
     return tc.attend(src, story, src_mask, story_mask)
 
 
 def dense_shared(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Position-shared affine map from (B·T, d) features to (B·T, L) scores."""
+    """Position-shared affine map from (T·B, d) features to (T·B, L) logits."""
     return tc.affine(h, w, b)

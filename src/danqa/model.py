@@ -4,7 +4,7 @@ The full architecture encodes the question, the answer and their
 concatenation (the QA story) with three context BLSTMs, lets question and
 answer attend over the story, re-encodes both augmented sequences, and
 classifies every question position from its encoding joined with a single
-answer polarity vector.
+answer polarity vector; the softmax of those logits is taken in the loss.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import layers
 from . import tensor as tc
-from .corpus import Vocab
+from .corpus import PAD, Vocab
 from .errors import ConfigError, ContractError, ShapeError
 from .labels import KIND_TARGET, KIND_FUNCWORD, LabelSpace, get_space
 from .layers import BLSTMLayer, EmbeddingTable
@@ -126,18 +126,20 @@ class Model:
 
     def forward_batch(self, examples, training: bool = False,
                       rng=None) -> Tensor:
-        """Label distributions of every question position, shape (B·T_q, L).
+        """Label logits of every question position, shape (T_q·B, L).
 
-        Row ``b * t_q + t`` belongs to position ``t`` of ``examples[b]``.
-        The first BLSTMs read the time-major (T, B) token ids, the story's
-        being the question's then the answer's; from there each sequence is
-        one time-major (T, B, d) tensor up to the second BLSTMs. Attention
-        reads (B, T, d) views and the masks of its source and story, and the
-        head transposes the question encoding to (B, T_q, d) once.
+        Row ``t * B + b`` scores position ``t`` of ``examples[b]``. Every
+        sequence and mask is time-major from the token ids to the head: the
+        first BLSTMs read (T, B) ids, and from there each sequence is one
+        (T, B, d) tensor with a (T, B) mask of its real steps. The story
+        holds each example's real question tokens, then its real answer
+        tokens, then its PAD, so every mask is a prefix of its column and
+        each op computes only the steps up to the batch's last real one.
 
-        A PAD step is a no-op in every BLSTM (the second ones read ``q_mask``
-        and ``a_mask``) and gets zero attention weight, so the rows of real
-        question tokens do not depend on ``t_q`` and ``t_a``.
+        A PAD step is a no-op in every BLSTM, attention gives PAD story
+        positions zero weight and PAD source steps a zero context, so the
+        rows of real question tokens depend neither on ``t_q`` and ``t_a``
+        nor on the batch peers.
         """
         cfg = self.cfg
         if not examples:
@@ -155,51 +157,46 @@ class Model:
         def drop(t):
             return tc.dropout(t, rate, training, rng)
 
-        def swap_time_batch(t):
-            return tc.transpose(t, (1, 0, 2))
-
         xq = np.stack([ex.x_q for ex in examples], axis=1)
         xa = np.stack([ex.x_a for ex in examples], axis=1)
-        qm = np.stack([ex.q_mask for ex in examples])
-        am = np.stack([ex.a_mask for ex in examples])
-        batch = len(examples)
+        qm, am = xq != PAD, xa != PAD
 
         hq1 = drop(self.ctx1_q.seq(xq))
         ha1 = drop(self.ctx1_a.seq(xa))
 
         cq = ca = None
         if self.ctx1_qa is not None:
-            story = swap_time_batch(
-                drop(self.ctx1_qa.seq(np.concatenate([xq, xa]))))
-            mask = np.concatenate([qm, am], axis=1)
-            cq = layers.attend_step(swap_time_batch(hq1), story, qm, mask)
+            ids = np.concatenate([xq, xa])
+            # each column's real question tokens, then its real answer ones, then PAD
+            ids = np.take_along_axis(
+                ids, np.argsort(ids == PAD, axis=0, kind="stable"), axis=0)
+            story, story_mask = drop(self.ctx1_qa.seq(ids)), ids != PAD
+            cq = layers.attend_step(hq1, story, qm, story_mask)
             if cfg.variant == "dan":
-                ca = layers.attend_step(swap_time_batch(ha1), story, am, mask)
+                ca = layers.attend_step(ha1, story, am, story_mask)
         elif cfg.variant == "qa-coattention":
-            story_q, story_a = swap_time_batch(hq1), swap_time_batch(ha1)
-            cq = layers.attend_step(story_q, story_a, qm, am)
-            ca = layers.attend_step(story_a, story_q, am, qm)
+            cq = layers.attend_step(hq1, ha1, qm, am)
+            ca = layers.attend_step(ha1, hq1, am, qm)
 
-        hq2 = hq1 if cq is None else tc.concat(hq1, swap_time_batch(cq), axis=2)
-        ha2 = ha1 if ca is None else tc.concat(ha1, swap_time_batch(ca), axis=2)
+        hq2 = hq1 if cq is None else tc.concat(hq1, cq, axis=2)
+        ha2 = ha1 if ca is None else tc.concat(ha1, ca, axis=2)
 
-        hq3 = swap_time_batch(self.ctx2_q.seq(layers.MaskedSeq(hq2, qm.T > 0)))
-        ha3 = tc.repeat(self.ctx2_a.pool(layers.MaskedSeq(ha2, am.T > 0)),
-                        cfg.t_q, axis=1)
+        hq3 = self.ctx2_q.seq(layers.MaskedSeq(hq2, qm))
+        ha3 = tc.repeat(self.ctx2_a.pool(layers.MaskedSeq(ha2, am)), cfg.t_q, axis=0)
         joined = tc.concat(hq3, ha3, axis=2)
-        flat = drop(tc.reshape(joined, (batch * cfg.t_q, 2 * cfg.blstm_dim)))
-        return tc.softmax_rows(
-            layers.dense_shared(flat, self.dense_w, self.dense_b))
+        flat = drop(tc.reshape(joined, (cfg.t_q * len(examples), 2 * cfg.blstm_dim)))
+        return layers.dense_shared(flat, self.dense_w, self.dense_b)
 
 
-def predict_labels(probs, mask) -> np.ndarray:
-    """Argmax label over the last axis of ``probs``; PAD positions forced to O.
+def predict_labels(scores, mask) -> np.ndarray:
+    """Argmax label over the last axis of ``scores``, logits or probabilities
+    alike; PAD positions forced to O.
 
-    ``mask`` has the shape of ``probs`` without its last axis, 1 for a real
+    ``mask`` has the shape of ``scores`` without its last axis, 1 for a real
     token. np.argmax resolves ties toward the lowest label index,
     deliberately biasing ties to O (index 0).
     """
-    labels = np.asarray(probs).argmax(axis=-1)
+    labels = np.asarray(scores).argmax(axis=-1)
     labels[np.asarray(mask) == 0] = 0
     return labels
 
@@ -210,10 +207,10 @@ def predict_label_batches(model: Model, examples, batch_size: int = 128):
     for lo in range(0, len(examples), batch_size):
         chunk = examples[lo:lo + batch_size]
         with tc.no_grad():
-            probs = model.forward_batch(chunk, training=False)
-        qm = np.stack([ex.q_mask for ex in chunk])
+            logits = model.forward_batch(chunk, training=False)
+        qm = np.stack([ex.q_mask for ex in chunk], axis=1)
         out[lo:lo + len(chunk)] = predict_labels(
-            probs.data.reshape(len(chunk), model.cfg.t_q, -1), qm)
+            logits.data.reshape(model.cfg.t_q, len(chunk), -1), qm).T
     return out
 
 

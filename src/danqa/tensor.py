@@ -14,8 +14,10 @@ the parent's shape. Rules may return views of their incoming gradient: the
 tape mutates only the buffers it allocated itself.
 
 Sequences are single time-major ``(T, B, d)`` tensors, or for ``lstm_cell``
-``(U, d)`` rows and a ``(T, B)`` index into them; ``transpose`` gives the
-``(B, T, d)`` views that ``attend`` reads, over the steps some row reads.
+``(U, d)`` rows and a ``(T, B)`` index into them, with ``(T, B)`` masks of
+their real steps. ``lstm_cell`` and ``attend`` compute only the leading steps
+up to the last one where some row is real: exact for any mask, and every real
+step of a mask that is a prefix of each row, as the model's are.
 """
 
 from __future__ import annotations
@@ -25,9 +27,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ContractError, ConfigError, DomainError, ShapeError
-
-LOG_EPS = 1e-12
+from .errors import ContractError, ConfigError, ShapeError
 
 _seq = itertools.count()
 _grad_enabled = True
@@ -160,36 +160,24 @@ def _wrap(data, parents, backward):
     return Tensor(data)
 
 
-def constant(data) -> Tensor:
-    return Tensor(data)
-
-
-def _masked_softmax(logits, mask):
-    """In-place softmax of (B, T, S) ``logits`` over the last axis, at the positions
-    where the (B, S) ``mask`` is nonzero: the rest, and rows with none, get 0.0."""
-    np.copyto(logits, -np.inf, where=np.asarray(mask)[:, None] <= 0)
+def _masked_softmax(logits, real):
+    """In-place softmax of ``logits`` over the last axis, at the positions where
+    the broadcast bool ``real`` is True: the rest, and rows with none, get 0.0."""
+    np.copyto(logits, -np.inf, where=~real)
     logits -= np.maximum(logits.max(axis=-1, keepdims=True, initial=-np.inf), -1e300)
     np.exp(logits, out=logits)
     logits /= np.maximum(logits.sum(axis=-1, keepdims=True), 1.0)  # 0 or >= 1
     return logits
 
 
+def _live_prefix(real) -> int:
+    """The steps up to the last one where some row of the (T, B) bool ``real``
+    is real: at least one, so an all-PAD sequence computes one no-op step."""
+    return 1 + int(max(np.flatnonzero(real.any(axis=1)), default=0))
+
+
 # ---------------------------------------------------------------------------
 # core operations
-
-
-def transpose(x: Tensor, axes) -> Tensor:
-    """The view of ``x`` with its axes permuted as ``np.transpose(x, axes)``."""
-    axes = tuple(axes)
-    if sorted(axes) != list(range(x.data.ndim)):
-        raise ShapeError(f"transpose axes {axes} do not permute the axes of "
-                         f"{x.shape}")
-    inverse = tuple(np.argsort(axes))
-
-    def backward(g):
-        return (np.transpose(g, inverse),)
-
-    return _wrap(np.transpose(x.data, axes), (x,), backward)
 
 
 def repeat(x: Tensor, n: int, axis: int) -> Tensor:
@@ -232,82 +220,68 @@ def concat(a: Tensor, b: Tensor, axis: int) -> Tensor:
     return _wrap(np.concatenate([a.data, b.data], axis=ax), (a, b), backward)
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Softmax over the last axis, numerically stabilized by max subtraction."""
-    if x.data.ndim < 1 or x.shape[-1] < 1:
-        raise ShapeError(f"softmax_rows got an empty row: {x.shape}")
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return ((g - dot) * out,)
-
-    return _wrap(out, (x,), backward)
-
-
 def attend(src: Tensor, story: Tensor, src_mask, story_mask) -> Tensor:
     """Dot-product attention of every source step over a story, as one op.
 
-    ``src`` is (B, T, d), ``story`` (B, S, d), and the (B, T) ``src_mask`` and
-    (B, S) ``story_mask`` are nonzero at real steps. Row [b, t] averages the
-    story rows of b by the softmax of ``src[b, t] . story[b]`` over its real
-    positions (zero if none). Only the steps and positions where some row is
-    real are computed, forward and backward. That is exact: a dropped position
-    has weight 0 in every row, and a dropped step a zero context and gradient."""
+    ``src`` is (T, B, d) and ``story`` (S, B, d), time-major, and the (T, B)
+    ``src_mask`` and (S, B) ``story_mask`` are nonzero at real steps. Row [t, b]
+    averages the story rows of b by the softmax of ``src[t, b] . story[:, b]``
+    over its real positions. A PAD source row, and a row whose story has no
+    real position, gets zero weights, so its context and gradient are 0 and no
+    row depends on its batch peers. Only the source steps and story positions
+    up to the last real one are computed, over batch-first views."""
     src_mask, story_mask = np.asarray(src_mask) > 0, np.asarray(story_mask) > 0
-    if (src.data.ndim != 3 or story.data.ndim != 3 or story.shape[::2] != src.shape[::2]
+    if (src.data.ndim != 3 or story.data.ndim != 3 or story.shape[1:] != src.shape[1:]
             or src_mask.shape != src.shape[:2] or story_mask.shape != story.shape[:2]):
         raise ShapeError(f"attend shapes incompatible: src {src.shape}, story "
                          f"{story.shape}, masks {src_mask.shape}, {story_mask.shape}")
-    rows = np.flatnonzero(src_mask.any(axis=0))  # the live block
-    cols = np.flatnonzero(story_mask.any(axis=0))
-    x, s = src.data[:, rows], story.data[:, cols]
-    weights = _masked_softmax(x @ s.transpose(0, 2, 1), story_mask[:, cols])
+    n, m = _live_prefix(src_mask), _live_prefix(story_mask)
+    x, s = src.data[:n].transpose(1, 0, 2), story.data[:m].transpose(1, 0, 2)
+    weights = _masked_softmax(x @ s.transpose(0, 2, 1),
+                              src_mask[:n].T[:, :, None] & story_mask[:m].T[:, None])
     out = np.zeros(src.shape)
-    out[:, rows] = weights @ s
+    out[:n] = (weights @ s).transpose(1, 0, 2)
 
     def backward(g):
-        g = g[:, rows]
+        g = g[:n].transpose(1, 0, 2)
         gl = g @ s.transpose(0, 2, 1)  # the weights' gradient, then the logits'
         gl = (gl - (gl * weights).sum(axis=-1, keepdims=True)) * weights
         gx, gs = np.zeros(src.shape), np.zeros(story.shape)
-        gx[:, rows] = gl @ s
-        gs[:, cols] = gl.transpose(0, 2, 1) @ x + weights.transpose(0, 2, 1) @ g
+        gx[:n] = (gl @ s).transpose(1, 0, 2)
+        gs[:m] = (gl.transpose(0, 2, 1) @ x + weights.transpose(0, 2, 1) @ g
+                  ).transpose(1, 0, 2)
         return gx, gs
 
     return _wrap(out, (src, story), backward)
 
 
-def cross_entropy(p: Tensor, y_onehot: Tensor, mask: Tensor) -> Tensor:
-    """Masked negative log likelihood, summed over all rows.
+def cross_entropy(logits: Tensor, y, mask) -> Tensor:
+    """Masked softmax cross entropy, summed over rows.
 
-    Rows of ``p`` must be probability distributions and ``y_onehot`` rows
-    one-hot; ``mask`` zeroes out padded rows. Probabilities below
-    ``LOG_EPS`` are clamped before the log so a confidently wrong model
-    yields a large finite loss instead of infinity.
+    Row i of the (m, L) ``logits`` scores the labels of one position, ``y``
+    holds the (m,) integer gold labels and the (m,) ``mask`` weights each
+    row's ``-log softmax(logits[i])[y[i]]``, 0 for a padded row. The
+    log-softmax is taken of the logits, so the loss stays exact however
+    confident the model is; row i's gradient is ``mask[i] * (softmax - onehot)``.
     """
-    if p.data.ndim != 2 or p.shape != y_onehot.shape:
-        raise ShapeError(
-            f"cross_entropy needs matching (m,L) inputs, got {p.shape} vs "
-            f"{y_onehot.shape}"
-        )
-    if mask.data.shape != (p.shape[0],):
-        raise ShapeError(
-            f"cross_entropy mask must have shape ({p.shape[0]},), got {mask.shape}"
-        )
-    if np.any(p.data < 0.0):
-        raise DomainError("cross_entropy got negative probabilities")
-    weights = mask.data[:, None] * y_onehot.data
-    loss = -(weights * np.log(np.maximum(p.data, LOG_EPS))).sum()
+    y, mask = np.asarray(y), np.asarray(mask, dtype=np.float64)
+    if (logits.data.ndim != 2 or y.shape != (logits.shape[0],) or mask.shape != y.shape
+            or y.dtype.kind not in "iu" or np.any((y < 0) | (y >= logits.shape[1]))):
+        raise ShapeError(f"cross_entropy needs (m, L) logits, (m,) integer labels in "
+                         f"[0, L) and an (m,) mask, got {logits.shape}, labels "
+                         f"{y.shape} {y.dtype}, mask {mask.shape}")
+    rows = np.arange(len(y))
+    z = logits.data - logits.data.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(z).sum(axis=1))
+    loss = mask @ (log_norm - z[rows, y])
 
     def backward(g):
-        scale = float(g.reshape(()))
-        dp = np.where(p.data > LOG_EPS, -weights / np.maximum(p.data, LOG_EPS), 0.0)
-        return (dp * scale, None, None)
+        grad = np.exp(z - log_norm[:, None])
+        grad[rows, y] -= 1.0
+        grad *= (float(g.reshape(())) * mask)[:, None]
+        return (grad,)
 
-    return _wrap(np.asarray(loss), (p, y_onehot, mask), backward)
+    return _wrap(np.asarray(loss), (logits,), backward)
 
 
 def dropout(x: Tensor, rate: float, training: bool, rng) -> Tensor:
@@ -352,8 +326,8 @@ def lstm_cell(x: Tensor, fw, bw, idx=None, mask=None) -> Tensor:
 
     A step that the (T, B) bool ``mask`` marks PAD (none if None) is a no-op
     in both directions: that row's [h | c] stays as it was and takes no
-    gradient. Only steps where some row is real are computed; a skipped step
-    holds the states of the computed steps around it (or zero).
+    gradient. Only the steps up to the last one where some row is real are
+    computed; after them the forward states hold and the backward ones stay 0.
 
     Both directions' input projections are one GEMM over the rows of ``x``,
     not kept for backward, which runs BPTT per step and then forms ``dX``
@@ -385,15 +359,12 @@ def lstm_cell(x: Tensor, fw, bw, idx=None, mask=None) -> Tensor:
     track = _grad_enabled and any(p.requires_grad for p in parents)
     wx, wh, bias = (np.stack([f.data, b.data]) for f, b in zip(fw, bw))
     wx, bias = wx.reshape(2 * g4, d_in), bias[:, None]
-    live = real.any(axis=1)
-    kept = np.flatnonzero(live)  # the steps some row reads
-    n = len(kept)
-    span = slice(kept[0], kept[-1] + 1) if n and kept[-1] - kept[0] == n - 1 else kept
-    real = real[span]
+    n = _live_prefix(real)
+    real = real[:n]
     pad = ~np.stack([real, real[::-1]], axis=1)[..., None]  # (n, 2, B, 1), step order
     partial = pad.any(axis=(1, 2, 3)).tolist()
-    src = x.data[span] if idx is None else x.data
-    steps = range(n) if idx is None else idx[span]
+    src = x.data[:n] if idx is None else x.data
+    steps = range(n) if idx is None else idx[:n]
     hs = np.empty((n, 2, batch, hdim))  # in step order
     if track:  # what the backward pass reads, in step order
         acts = np.empty((n, 2, batch, g4))
@@ -422,16 +393,16 @@ def lstm_cell(x: Tensor, fw, bw, idx=None, mask=None) -> Tensor:
             np.copyto(c_new, c, where=pad[s])
             np.copyto(h_new, h, where=pad[s])
         h, c = h_new, c_new
-    states = np.zeros((n + 2, batch, 2, hdim))  # time-major, a zero state at each end
-    states[1:-1, :, 0], states[1:-1, :, 1] = hs[:, 0], hs[::-1, 1]
-    at = np.cumsum(live)  # the states row the forward direction holds after step t
-    out = np.stack([states[at, :, 0], states[at + ~live, :, 1]], axis=2)
+    fw_h, bw_h = hs[:, 0], hs[::-1, 1]  # time-major
+    out = np.zeros((t_len, batch, 2, hdim))
+    out[:n, :, 0], out[:n, :, 1] = fw_h, bw_h
+    out[n:, :, 0] = fw_h[-1]
 
     def backward(g):
         g = g.reshape(t_len, batch, 2, hdim)
-        gh_all = np.empty((n, 2, batch, hdim))  # step order, skipped steps summed in
-        np.add.reduceat(g[:, :, 0], kept, axis=0, out=gh_all[:, 0])
-        np.add.reduceat(g[::-1, :, 1], t_len - 1 - kept[::-1], axis=0, out=gh_all[:, 1])
+        gh_all = np.empty((n, 2, batch, hdim))  # step order
+        gh_all[:, 0], gh_all[:, 1] = g[:n, :, 0], g[n - 1::-1, :, 1]
+        gh_all[-1, 0] += g[n:, :, 0].sum(axis=0)  # the steps that hold its state
         gz = np.empty((n, batch, 2, g4))  # time-major, as the GEMMs read
         gzs = np.empty((2, batch, g4))
         gh_rec = gc_next = 0.0
@@ -466,13 +437,13 @@ def lstm_cell(x: Tensor, fw, bw, idx=None, mask=None) -> Tensor:
             for lo, hi in zip(cuts, np.r_[cuts[1:], len(ids)]):
                 gz_all[ids[lo]] = rows_sorted[lo:hi].sum(axis=0)
         gx = (gz_all @ wx).reshape(src.shape)
-        if gx.shape != x.shape:  # the skipped steps read no input
+        if gx.shape != x.shape:  # the steps after the computed ones read no input
             gx, part = np.zeros(x.shape), gx
-            gx[span] = part
+            gx[:n] = part
         gwx = gz_all.T @ rows
-        # h before kept step k is states[k] (forward) or states[k + 2] (backward)
-        gwh_fw = gz[1:, :, 0].reshape(-1, g4).T @ states[1:n, :, 0].reshape(-1, hdim)
-        gwh_bw = gz[:-1, :, 1].reshape(-1, g4).T @ states[2:-1, :, 1].reshape(-1, hdim)
+        # h before step t is fw_h[t - 1] (forward) or bw_h[t + 1] (backward)
+        gwh_fw = gz[1:, :, 0].reshape(-1, g4).T @ fw_h[:-1].reshape(-1, hdim)
+        gwh_bw = gz[:-1, :, 1].reshape(-1, g4).T @ bw_h[1:].reshape(-1, hdim)
         gb = gz.sum(axis=(0, 1))
         return (gx, gwx[:g4], gwh_fw, gb[0], gwx[g4:], gwh_bw, gb[1])
 

@@ -68,13 +68,10 @@ def batch_loss(model: Model, batch, training: bool = True, rng=None):
     """Summed masked cross entropy of a batch (PAD positions excluded)."""
     if not batch:
         raise ContractError("batch_loss needs a non-empty batch")
-    probs = model.forward_batch(batch, training=training, rng=rng)
-    n_labels = len(model.cfg.space)
-    y = np.stack([ex.y for ex in batch]).reshape(-1)
-    onehot = np.zeros((y.size, n_labels))
-    onehot[np.arange(y.size), y] = 1.0
-    mask = np.stack([ex.q_mask for ex in batch]).reshape(-1)
-    return tc.cross_entropy(probs, tc.constant(onehot), tc.constant(mask))
+    logits = model.forward_batch(batch, training=training, rng=rng)
+    y = np.stack([ex.y for ex in batch], axis=1).reshape(-1)
+    mask = np.stack([ex.q_mask for ex in batch], axis=1).reshape(-1)
+    return tc.cross_entropy(logits, y, mask)
 
 
 def evaluate_dataset(model: Model, examples) -> dict:

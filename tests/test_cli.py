@@ -297,17 +297,17 @@ class TestGradcheckCommand:
 
     def test_corrupted_backward_detected(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        true_softmax = tc.softmax_rows
+        true_loss = tc.cross_entropy
 
-        def broken_softmax(x):
-            out = true_softmax(x)
+        def broken_loss(*args):
+            out = true_loss(*args)
             if out._backward is not None:
                 good = out._backward
                 out._backward = lambda g: tuple(
                     None if p is None else 1.02 * p for p in good(g))
             return out
 
-        monkeypatch.setattr(tc, "softmax_rows", broken_softmax)
+        monkeypatch.setattr(tc, "cross_entropy", broken_loss)
         code = run("gradcheck", "--max-elements", "2", "--out",
                    str(tmp_path / "bad.json"))
         assert code == 3

@@ -8,8 +8,8 @@ from danqa import tensor as tc
 from danqa.errors import ConfigError, ShapeError, VocabError
 from danqa.layers import (BLSTMLayer, EmbeddingTable, MaskedSeq, attend_step,
                           dense_shared)
-from util import (add, attention_weights, fd_gradient, max_rel_err, mul,
-                  parameter, reference_attention, reference_direction,
+from util import (add, attention_weights, constant, fd_gradient, max_rel_err,
+                  mul, parameter, reference_attention, reference_direction,
                   tensor_sum)
 
 
@@ -22,7 +22,7 @@ def zeroed_layer(input_dim, output_dim, seed=0):
 
 def as_seq(x):
     """(T, d) array -> time-major (T, 1, d) sequence tensor of one row."""
-    return tc.constant(np.asarray(x)[:, None])
+    return constant(np.asarray(x)[:, None])
 
 
 def seq_matrix(layer, x):
@@ -45,13 +45,14 @@ def tensors_made(fn):
 
 def attention(src, story, mask=None):
     """Attend every (T, d) ``src`` row over a (S, d) story in one
-    ``attend_step`` call; (context, weights) as (T, d) and (T, S) arrays,
-    the weights read by ``attention_weights``."""
+    ``attend_step`` call, as time-major sequences of one row; (context,
+    weights) as (T, d) and (T, S) arrays, the weights read by
+    ``attention_weights``."""
     src, story = np.asarray(src, dtype=float), np.asarray(story, dtype=float)
     mask = np.ones(len(story)) if mask is None else np.asarray(mask)
-    args = (src[None], story[None], np.ones((1, len(src))), mask[None])
-    context = attend_step(tc.constant(args[0]), tc.constant(args[1]), *args[2:])
-    return context.data[0], attention_weights(*args)[0]
+    args = (src[:, None], story[:, None], np.ones((len(src), 1)), mask[:, None])
+    context = attend_step(constant(args[0]), constant(args[1]), *args[2:])
+    return context.data[:, 0], attention_weights(*args)[0]
 
 
 class TestEmbedding:
@@ -155,7 +156,7 @@ class TestBLSTM:
         layer = BLSTMLayer(3, 4, np.random.default_rng(0))
         for call in (layer.seq, layer.pool):
             with pytest.raises(ShapeError, match=r"x \(0, 1, 3\)"):
-                call(tc.constant(np.zeros((0, 1, 3))))
+                call(constant(np.zeros((0, 1, 3))))
         layer = token_layer(3, 4, 5, np.random.default_rng(0))
         for call in (layer.seq, layer.pool):
             with pytest.raises(ShapeError, match=r"x \(0, 3\), idx \(0, 1\)"):
@@ -175,7 +176,7 @@ class TestBLSTM:
         ids = rng.integers(0, vocab, (t_len, batch))
         ids[:, rng.random(batch) < 0.3] = 0
         xs = layer.embedding.table.data[:, ids].transpose(1, 2, 0)
-        want = [reference_direction(xs, d.wx.data, d.wh.data, d.b.data,
+        want = [reference_direction(xs, *(w.data for w in d),
                                     reverse=d is layer.bw, mask=ids != 0
                                     ).reshape(t_len, batch, hdim)
                 for d in (layer.fw, layer.bw)]
@@ -190,8 +191,8 @@ class TestBLSTM:
         rng = np.random.default_rng(13)
         layer = token_layer(3, 4, 6, rng)
         ids = np.array([[2, 0, 2], [5, 0, 2], [2, 0, 0], [1, 0, 5]])
-        w_seq = tc.constant(rng.standard_normal((4, 3, 4)))
-        w_pool = tc.constant(rng.standard_normal((3, 4)))
+        w_seq = constant(rng.standard_normal((4, 3, 4)))
+        w_pool = constant(rng.standard_normal((3, 4)))
 
         def build():
             return add(tensor_sum(mul(layer.seq(ids), w_seq)),
@@ -207,8 +208,8 @@ class TestBLSTM:
         rng = np.random.default_rng(12)
         layer = BLSTMLayer(3, 4, rng)
         x = parameter(rng.standard_normal((3, 2, 3)))
-        w_seq = tc.constant(rng.standard_normal((3, 2, 4)))
-        w_pool = tc.constant(rng.standard_normal((2, 4)))
+        w_seq = constant(rng.standard_normal((3, 2, 4)))
+        w_pool = constant(rng.standard_normal((2, 4)))
 
         def build():
             return add(tensor_sum(mul(layer.seq(x), w_seq)),
@@ -227,9 +228,9 @@ class TestBLSTM:
         layer = BLSTMLayer(3, 4, rng)
         x = rng.standard_normal((5, 2, 3))
         mask = np.array([[1, 0], [0, 0], [1, 1], [1, 0], [0, 0]], dtype=bool)
-        masked = MaskedSeq(tc.constant(x), mask)
+        masked = MaskedSeq(constant(x), mask)
         assert (len(masked), masked[0].shape, masked.shape) == (5, (2, 3), (5, 2, 3))
-        want = [reference_direction(x, d.wx.data, d.wh.data, d.b.data,
+        want = [reference_direction(x, *(w.data for w in d),
                                     reverse=d is layer.bw, mask=mask
                                     ).reshape(5, 2, 2)
                 for d in (layer.fw, layer.bw)]
@@ -279,11 +280,10 @@ class TestAttention:
         src = rng.standard_normal((3, 4))
         story = rng.standard_normal((5, 4))
         _, weights = attention(src, story)
-        scores = src @ story.T
-        shifted = tc.softmax_rows(tc.constant(scores + 7.5))
-        np.testing.assert_allclose(weights, shifted.data, atol=1e-12)
-        assert np.array_equal(weights.argmax(axis=-1),
-                              shifted.data.argmax(axis=-1))
+        shifted = np.exp(src @ story.T + 7.5)
+        shifted /= shifted.sum(axis=-1, keepdims=True)
+        np.testing.assert_allclose(weights, shifted, atol=1e-12)
+        assert np.array_equal(weights.argmax(axis=-1), shifted.argmax(axis=-1))
 
     def test_feature_dim_mismatch(self):
         with pytest.raises(ShapeError):
@@ -301,21 +301,21 @@ class TestAttention:
         """One batched call over three stories equals each story's own
         closed-form attention, softmax(src . story + mask) averaging story."""
         rng = np.random.default_rng(12)
-        src = rng.standard_normal((3, 2, 4))
-        stories = rng.standard_normal((3, 5, 4))
+        src = rng.standard_normal((2, 3, 4))
+        stories = rng.standard_normal((5, 3, 4))
         masks = np.array([[1, 1, 1, 0, 1], [1, 1, 1, 1, 1], [1, 0, 0, 0, 0]],
-                         dtype=float)
-        src_mask = np.ones((3, 2))
-        context = attend_step(tc.constant(src), tc.constant(stories), src_mask,
+                         dtype=float).T
+        src_mask = np.ones((2, 3))
+        context = attend_step(constant(src), constant(stories), src_mask,
                               masks)
         weights = attention_weights(src, stories, src_mask, masks)
         for b in range(3):
             for t in range(2):
-                logits = np.where(masks[b] > 0, stories[b] @ src[b, t], -np.inf)
+                logits = np.where(masks[:, b] > 0, stories[:, b] @ src[t, b], -np.inf)
                 ref = np.exp(logits - logits.max())
                 ref /= ref.sum()
                 np.testing.assert_allclose(weights[b, t], ref, atol=1e-12)
-                np.testing.assert_allclose(context.data[b, t], ref @ stories[b],
+                np.testing.assert_allclose(context.data[t, b], ref @ stories[:, b],
                                            atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
@@ -323,18 +323,19 @@ class TestAttention:
            st.integers(1, 4), st.integers(0, 2**32 - 1))
     def test_matches_per_row_reference(self, batch, t_len, s_len, dim, seed):
         rng = np.random.default_rng(seed)
-        src = rng.standard_normal((batch, t_len, dim))
-        story = rng.standard_normal((batch, s_len, dim))
+        src = rng.standard_normal((t_len, batch, dim))
+        story = rng.standard_normal((s_len, batch, dim))
         mask = (rng.random((batch, s_len)) < 0.6).astype(float)
         mask[np.arange(batch), rng.integers(s_len, size=batch)] = 1.0
-        src_mask = np.ones((batch, t_len))
-        context = attend_step(tc.constant(src), tc.constant(story), src_mask,
-                              mask)
-        weights = attention_weights(src, story, src_mask, mask)
-        ref_context, ref_weights = reference_attention(src, story, mask)
+        src_mask = np.ones((t_len, batch))
+        context = attend_step(constant(src), constant(story), src_mask,
+                              mask.T)
+        weights = attention_weights(src, story, src_mask, mask.T)
+        ref_context, ref_weights = reference_attention(
+            src.swapaxes(0, 1), story.swapaxes(0, 1), mask)
         np.testing.assert_allclose(weights, ref_weights, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(context.data, ref_context, rtol=0,
-                                   atol=1e-12)
+        np.testing.assert_allclose(context.data.swapaxes(0, 1), ref_context,
+                                   rtol=0, atol=1e-12)
         assert np.all(np.where(mask[:, None, :] == 0, weights, 0.0) == 0.0)
 
     @settings(max_examples=100, deadline=None)
@@ -346,40 +347,72 @@ class TestAttention:
                                           no_story, seed):
         """With ragged masks, the op's context is the reference's on every
         row, and ``attention_weights`` the weights it averages the story
-        with. Steps where no source row is real get an exactly zero context
-        and gradient; PAD story positions an exactly zero gradient. The flags
-        make one story row all PAD, one source row all PAD, and every story
-        position PAD."""
+        with. PAD source rows get an exactly zero context and gradient; PAD
+        story positions an exactly zero gradient. The flags make one story
+        row all PAD, one source row all PAD, and every story position PAD."""
         rng = np.random.default_rng(seed)
-        src_mask = rng.random((batch, t_len)) < 0.6
-        story_mask = rng.random((batch, s_len)) < 0.6
+        src_mask = rng.random((t_len, batch)) < 0.6
+        story_mask = rng.random((s_len, batch)) < 0.6
         if dead_story_row:
-            story_mask[rng.integers(batch)] = False
+            story_mask[:, rng.integers(batch)] = False
         if dead_src_row:
-            src_mask[rng.integers(batch)] = False
+            src_mask[:, rng.integers(batch)] = False
         if no_story:
             story_mask[:] = False
-        src = parameter(rng.standard_normal((batch, t_len, dim)))
-        story = parameter(rng.standard_normal((batch, s_len, dim)))
+        src = parameter(rng.standard_normal((t_len, batch, dim)))
+        story = parameter(rng.standard_normal((s_len, batch, dim)))
         context = attend_step(src, story, src_mask, story_mask)
         weights = attention_weights(src.data, story.data, src_mask, story_mask)
         ref_context, ref_weights = reference_attention(
-            src.data, story.data, story_mask, src_mask)
-        np.testing.assert_allclose(context.data, ref_context, rtol=0,
-                                   atol=1e-12)
+            src.data.swapaxes(0, 1), story.data.swapaxes(0, 1), story_mask.T,
+            src_mask.T)
+        batch_first = context.data.swapaxes(0, 1)
+        np.testing.assert_allclose(batch_first, ref_context, rtol=0, atol=1e-12)
         np.testing.assert_allclose(weights, ref_weights, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(context.data, weights @ story.data, rtol=0,
-                                   atol=1e-12)
-        dead = ~src_mask.any(axis=0)
-        assert np.all(context.data[:, dead] == 0.0)
-        tensor_sum(mul(context, tc.constant(
+        np.testing.assert_allclose(batch_first, weights @ story.data.swapaxes(0, 1),
+                                   rtol=0, atol=1e-12)
+        assert np.all(context.data[~src_mask] == 0.0)
+        tensor_sum(mul(context, constant(
             rng.standard_normal(context.shape)))).backward()
-        assert np.all(src.grad[:, dead] == 0.0)
-        assert np.all(src.grad[~story_mask.any(axis=1)] == 0.0)
+        assert np.all(src.grad[~src_mask] == 0.0)
+        assert np.all(src.grad[:, ~story_mask.any(axis=0)] == 0.0)
         assert np.all(story.grad[~story_mask] == 0.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(t_len=st.integers(1, 5), s_len=st.integers(1, 6), dim=st.integers(1, 4),
+           order=st.permutations(range(4)), size=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rows_do_not_depend_on_batch_peers(self, t_len, s_len, dim, order,
+                                               size, seed):
+        """Each source row's context and gradients are those of its batch
+        column attended alone, whatever peers join it and in which order; a
+        PAD source row gets an exactly zero context and gradient. Source
+        masks are prefixes of random length (some empty), story masks
+        random."""
+        rng = np.random.default_rng(seed)
+        src = rng.standard_normal((t_len, 4, dim))
+        story = rng.standard_normal((s_len, 4, dim))
+        src_mask = np.arange(t_len)[:, None] < rng.integers(0, t_len + 1, 4)
+        story_mask = rng.random((s_len, 4)) < 0.6
+        w = rng.standard_normal((t_len, 4, dim))
+
+        def run(cols):
+            x, s = parameter(src[:, cols]), parameter(story[:, cols])
+            context = attend_step(x, s, src_mask[:, cols], story_mask[:, cols])
+            tensor_sum(mul(context, constant(w[:, cols]))).backward()
+            return context.data, x.grad, s.grad
+
+        cols = list(order[:size])
+        together = run(cols)
+        for k, col in enumerate(cols):
+            for got, alone in zip(together, run([col])):
+                np.testing.assert_allclose(got[:, k], alone[:, 0], rtol=0,
+                                           atol=1e-12)
+        pad = ~src_mask[:, cols]
+        assert np.all(together[0][pad] == 0.0) and np.all(together[1][pad] == 0.0)
+
     def test_attention_gradients(self):
-        self.check_gradients(np.ones((3, 2)), np.ones((3, 5)))
+        self.check_gradients(np.ones((2, 3)), np.ones((5, 3)))
 
     def test_attention_gradients_with_ragged_masks(self):
         # source step 1 PAD in every row and step 0 in row 0; story row 1 all
@@ -387,14 +420,14 @@ class TestAttention:
         src_mask, mask = np.ones((3, 2)), np.ones((3, 5))
         src_mask[:, 1] = src_mask[0, 0] = 0.0
         mask[0, [1, 4]] = mask[1] = mask[2, 0] = 0.0
-        self.check_gradients(src_mask, mask)
+        self.check_gradients(src_mask.T, mask.T)
 
     @staticmethod
     def check_gradients(src_mask, mask):
         rng = np.random.default_rng(13)
-        src = parameter(rng.standard_normal((3, 2, 4)))
-        story = parameter(rng.standard_normal((3, 5, 4)))
-        w = tc.constant(rng.standard_normal((3, 2, 4)))
+        src = parameter(rng.standard_normal((2, 3, 4)))
+        story = parameter(rng.standard_normal((5, 3, 4)))
+        w = constant(rng.standard_normal((2, 3, 4)))
 
         def build():
             return tensor_sum(mul(attend_step(src, story, src_mask, mask), w))
@@ -407,15 +440,15 @@ class TestAttention:
 
 class TestDropout:
     def test_rate_zero_is_identity(self):
-        x = tc.constant(np.ones((3, 3)))
+        x = constant(np.ones((3, 3)))
         assert tc.dropout(x, 0.0, True, np.random.default_rng(0)) is x
 
     def test_inference_is_identity(self):
-        x = tc.constant(np.ones((3, 3)))
+        x = constant(np.ones((3, 3)))
         assert tc.dropout(x, 0.9, False, None) is x
 
     def test_bad_rate_rejected(self):
-        x = tc.constant(np.ones(2))
+        x = constant(np.ones(2))
         with pytest.raises(ConfigError):
             tc.dropout(x, 1.0, True, np.random.default_rng(0))
         with pytest.raises(ConfigError):
@@ -423,42 +456,42 @@ class TestDropout:
 
     def test_zero_fraction_near_rate(self):
         rng = np.random.default_rng(14)
-        x = tc.constant(np.ones(100_000))
+        x = constant(np.ones(100_000))
         out = tc.dropout(x, 0.1, True, rng)
         frac = float((out.data == 0.0).mean())
         assert abs(frac - 0.1) <= 0.01
 
     def test_expectation_preserved(self):
         rng = np.random.default_rng(15)
-        x = tc.constant(np.full(200_000, 3.0))
+        x = constant(np.full(200_000, 3.0))
         out = tc.dropout(x, 0.25, True, rng)
         assert out.data.mean() == pytest.approx(3.0, rel=0.01)
 
 
 class TestDenseShared:
     def test_zero_weights_constant_rows(self):
-        h = tc.constant(np.random.default_rng(16).standard_normal((5, 3)))
-        w = tc.constant(np.zeros((4, 3)))
-        b = tc.constant(np.array([1.0, 2.0, 3.0, 4.0]))
+        h = constant(np.random.default_rng(16).standard_normal((5, 3)))
+        w = constant(np.zeros((4, 3)))
+        b = constant(np.array([1.0, 2.0, 3.0, 4.0]))
         out = dense_shared(h, w, b)
         np.testing.assert_array_equal(out.data, np.tile(b.data, (5, 1)))
 
     def test_position_equivariance(self):
         rng = np.random.default_rng(17)
         h = rng.standard_normal((6, 3))
-        w = tc.constant(rng.standard_normal((4, 3)))
-        b = tc.constant(rng.standard_normal(4))
+        w = constant(rng.standard_normal((4, 3)))
+        b = constant(rng.standard_normal(4))
         perm = rng.permutation(6)
-        out = dense_shared(tc.constant(h), w, b).data
-        out_perm = dense_shared(tc.constant(h[perm]), w, b).data
+        out = dense_shared(constant(h), w, b).data
+        out_perm = dense_shared(constant(h[perm]), w, b).data
         np.testing.assert_allclose(out_perm, out[perm])
 
     def test_weight_gradient_accumulates_over_positions(self):
         rng = np.random.default_rng(18)
-        h = tc.constant(rng.standard_normal((6, 3)))
+        h = constant(rng.standard_normal((6, 3)))
         w = parameter(rng.standard_normal((4, 3)))
         b = parameter(rng.standard_normal(4))
-        v = tc.constant(rng.standard_normal((6, 4)))
+        v = constant(rng.standard_normal((6, 4)))
 
         def build():
             return tensor_sum(mul(dense_shared(h, w, b), v))

@@ -120,9 +120,18 @@ def random_example(rng, t_q, t_a, vocab_size):
     return SimpleNamespace(**fields)
 
 
+def label_probs(model, examples):
+    """(B, T_q, L) label distributions: the softmax of ``forward_batch``'s
+    logits, with its rows ``t * B + b`` put in example order."""
+    logits = model.forward_batch(examples).data
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs.reshape(model.cfg.t_q, len(examples), -1).swapaxes(0, 1)
+
+
 def probs_of(model, example):
     """(T_q, L) label distributions of one example."""
-    return model.forward_batch([example]).data
+    return label_probs(model, [example])[0]
 
 
 class TestBuild:
@@ -179,10 +188,10 @@ class TestBuild:
         model.forward_batch(examples[:1])
         # the question attends over the answer, then the answer over the question
         attends = [args for args, _ in calls["attend_step"]]
-        assert [story.shape[1] for _, story, _, _ in attends] == [cfg.t_a, cfg.t_q]
-        assert [src.shape[1] for src, _, _, _ in attends] == [cfg.t_q, cfg.t_a]
+        assert [story.shape[0] for _, story, _, _ in attends] == [cfg.t_a, cfg.t_q]
+        assert [src.shape[0] for src, _, _, _ in attends] == [cfg.t_q, cfg.t_a]
         # each side's mask is the source mask of one call, the story's of the other
-        qm, am = examples[0].q_mask[None], examples[0].a_mask[None]
+        qm, am = examples[0].q_mask[:, None] > 0, examples[0].a_mask[:, None] > 0
         for (_, _, src_mask, story_mask), (sm, tm) in zip(attends, ((qm, am), (am, qm))):
             np.testing.assert_array_equal(src_mask, sm)
             np.testing.assert_array_equal(story_mask, tm)
@@ -207,17 +216,19 @@ class TestForward:
         pq = model.forward_batch(examples)
         b, n = len(examples), cfg.blstm_dim
         assert pq.shape == (b * cfg.t_q, len(cfg.space))
-        np.testing.assert_allclose(pq.data.sum(axis=-1), 1.0, atol=1e-9)
         hq2, _ = blstm_call(calls, "ctx2_q.seq")
         assert hq2.shape == (cfg.t_q, b, 2 * n)
         _, ha3 = blstm_call(calls, "ctx2_a.pool")
         assert ha3.shape == (b, n)
         _, hqa = blstm_call(calls, "ctx1_qa.seq")
         assert hqa.shape == (cfg.t_q + cfg.t_a, b, n)
+        np.testing.assert_allclose(label_probs(model, examples).sum(axis=-1), 1.0,
+                                   atol=1e-9)
 
     def test_story_is_question_then_answer(self, monkeypatch):
-        """The story BLSTM reads the question's token ids, then the answer's,
-        time-major like those of the question and answer BLSTMs."""
+        """The story BLSTM reads each example's real question token ids, then
+        its real answer ones, then its PAD, time-major like those of the
+        question and answer BLSTMs; its length stays t_q + t_a."""
         cfg, vocab, examples = micro_setup()
         model = Model(cfg, vocab.size)
         calls = record_layers(model, monkeypatch)
@@ -228,7 +239,11 @@ class TestForward:
         np.testing.assert_array_equal(eq, np.stack([ex.x_q for ex in examples], 1))
         np.testing.assert_array_equal(ea, np.stack([ex.x_a for ex in examples], 1))
         assert len(eqa) == cfg.t_q + cfg.t_a
-        np.testing.assert_array_equal(eqa, np.concatenate([eq, ea]))
+        for b, ex in enumerate(examples):
+            real = np.concatenate([ex.x_q[ex.q_mask > 0], ex.x_a[ex.a_mask > 0]])
+            np.testing.assert_array_equal(eqa[:len(real), b], real)
+            assert np.all(eqa[len(real):, b] == 0)
+        assert any(ex.q_mask.min() == 0 for ex in examples)  # a gap to pack
 
     def test_pad_only_answer_still_valid(self):
         cfg, vocab, examples = micro_setup()
@@ -261,8 +276,7 @@ class TestForward:
         model = Model(cfg, vocab.size)
         batch = [examples[i] for i in order[:size]]
         with tc.no_grad():
-            together = model.forward_batch(batch).data.reshape(
-                size, cfg.t_q, -1)
+            together = label_probs(model, batch)
             for ex, rows in zip(batch, together, strict=True):
                 np.testing.assert_allclose(rows, probs_of(model, ex),
                                            rtol=0, atol=1e-12)
@@ -287,9 +301,8 @@ class TestForward:
             model = Model(cfg, vocab.size)
             examples = [encode(p, vocab, cfg) for p in pairs]
             with tc.no_grad():
-                probs = model.forward_batch(examples).data
-            runs.append((probs.reshape(size, cfg.t_q, -1),
-                         predict_label_batches(model, examples, batch_size=4)))
+                probs = label_probs(model, examples)
+            runs.append((probs, predict_label_batches(model, examples, batch_size=4)))
         (probs, labels), (padded_probs, padded_labels) = runs
         for b, pair in enumerate(pairs):
             real = len(pair.question_tokens)
@@ -314,7 +327,7 @@ class TestForward:
         rng = np.random.default_rng(seed)
         examples = [random_example(rng, t_q, t_a, 12) for _ in range(size)]
         with tc.no_grad():
-            got = model.forward_batch(examples).data
+            got = label_probs(model, examples).reshape(size * t_q, -1)
         params = {name: p.data for name, p in model.params().items()}
         np.testing.assert_allclose(
             got, reference_forward(params, examples, cfg), rtol=0, atol=1e-12)
@@ -351,6 +364,7 @@ class TestForward:
             cfg, vocab, examples = micro_setup(seed=seed)
             model = Model(cfg, vocab.size)
             assert np.all(np.isfinite(model.forward_batch(examples).data))
+            assert np.all(np.isfinite(label_probs(model, examples)))
 
     def test_variant_nesting_zero_attention(self):
         """With the story encoder forced to zero, the full model reduces to
@@ -407,11 +421,11 @@ class TestPredictLabels:
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(1)
         scores = rng.standard_normal((6, 4))
-        p1 = tc.softmax_rows(tc.constant(scores)).data
-        p2 = tc.softmax_rows(tc.constant(3.0 * scores + 11.0)).data
-        l1 = predict_labels(p1, np.ones(6))
-        l2 = predict_labels(p2, np.ones(6))
+        probs = np.exp(scores) / np.exp(scores).sum(axis=1, keepdims=True)
+        l1 = predict_labels(scores, np.ones(6))
+        l2 = predict_labels(3.0 * scores + 11.0, np.ones(6))
         np.testing.assert_array_equal(l1, l2)
+        np.testing.assert_array_equal(predict_labels(probs, np.ones(6)), l1)
 
 
 class TestDecodeTuples:

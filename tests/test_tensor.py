@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from danqa import tensor as tc
-from danqa.errors import ContractError, DomainError, ShapeError
-from util import (add, bmm, fd_gradient, max_rel_err, mul, parameter,
+from danqa.errors import ContractError, ShapeError
+from util import (add, bmm, constant, fd_gradient, max_rel_err, mul, parameter,
                   reference_direction, tensor_sum)
 
 
@@ -17,11 +17,11 @@ def gate_step(z):
     array ``z`` with an identity input map and no recurrence or bias, so
     ``z[t]`` is the gate pre-activation of step t; (T·B, H) like
     ``reference_direction``."""
-    z = z if isinstance(z, tc.Tensor) else tc.constant(np.asarray(z, float))
+    z = z if isinstance(z, tc.Tensor) else constant(np.asarray(z, float))
     hdim = z.shape[2] // 4
-    weights = (tc.constant(np.eye(4 * hdim)),
-               tc.constant(np.zeros((4 * hdim, hdim))),
-               tc.constant(np.zeros(4 * hdim)))
+    weights = (constant(np.eye(4 * hdim)),
+               constant(np.zeros((4 * hdim, hdim))),
+               constant(np.zeros(4 * hdim)))
     return tc.lstm_cell(z, weights, weights)[::2]
 
 
@@ -61,18 +61,18 @@ class TestMatmul:
     """The test op ``bmm``: the matrix product over a leading batch axis."""
 
     def test_identity(self):
-        out = bmm(tc.constant(np.eye(2)[None]),
-                  tc.constant([[[1., 2.], [3., 4.]]]))
+        out = bmm(constant(np.eye(2)[None]),
+                  constant([[[1., 2.], [3., 4.]]]))
         np.testing.assert_array_equal(out.data, [[[1., 2.], [3., 4.]]])
 
     def test_hand_product(self):
-        out = bmm(tc.constant([[[1., 2.]]]), tc.constant([[[3.], [4.]]]))
+        out = bmm(constant([[[1., 2.]]]), constant([[[3.], [4.]]]))
         np.testing.assert_array_equal(out.data, [[[11.]]])
 
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(1, 2, 3\).*\(1, 2, 3\)"):
-            bmm(tc.constant(np.zeros((1, 2, 3))),
-                tc.constant(np.zeros((1, 2, 3))))
+            bmm(constant(np.zeros((1, 2, 3))),
+                constant(np.zeros((1, 2, 3))))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -89,50 +89,64 @@ class TestMatmul:
         assert max_rel_err(b.grad, fd_b) <= 1e-6
 
 
+def softmax_and_grad(x, labels=None):
+    """The row softmax that ``cross_entropy`` takes of the (m, L) logits
+    ``x`` (gold labels 0 unless given), read off its gradient
+    ``softmax - onehot``; and that gradient."""
+    x = parameter(np.asarray(x, dtype=float))
+    y = np.zeros(len(x), int) if labels is None else np.asarray(labels)
+    tc.cross_entropy(x, y, np.ones(len(x))).backward()
+    probs = x.grad.copy()
+    probs[np.arange(len(x)), y] += 1.0
+    return probs, x.grad
+
+
 class TestSoftmaxRows:
+    """The softmax over each row of logits, which ``cross_entropy`` takes."""
+
     def test_symmetry(self):
-        out = tc.softmax_rows(tc.constant([0.0, 0.0]))
-        np.testing.assert_allclose(out.data, [0.5, 0.5])
+        probs, _ = softmax_and_grad([[0.0, 0.0]])
+        np.testing.assert_allclose(probs, [[0.5, 0.5]])
 
     def test_large_inputs_no_overflow(self):
-        out = tc.softmax_rows(tc.constant([1000.0, 1000.0, 1000.0]))
-        np.testing.assert_allclose(out.data, [1 / 3] * 3)
-        assert np.all(np.isfinite(out.data))
+        probs, _ = softmax_and_grad([[1000.0, 1000.0, 1000.0]])
+        np.testing.assert_allclose(probs, [[1 / 3] * 3])
+        assert np.all(np.isfinite(probs))
+        loss = tc.cross_entropy(constant([[1000.0, 1000.0, 1000.0]]), [0], [1.0])
+        assert loss.item() == pytest.approx(np.log(3), abs=1e-12)
 
     def test_row_sums_and_gradient(self):
         rng = np.random.default_rng(1)
-        x = parameter(rng.standard_normal((2, 5)))
-        w = rng.standard_normal((2, 5))
-        out = tc.softmax_rows(x)
-        np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-12)
-        tensor_sum(mul(out, tc.constant(w))).backward()
+        x = rng.standard_normal((2, 5))
+        y = rng.integers(5, size=2)
+        probs, grad = softmax_and_grad(x, y)
+        np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
 
         def loss():
-            return tensor_sum(
-                mul(tc.softmax_rows(x), tc.constant(w))).item()
+            return tc.cross_entropy(constant(x), y, np.ones(2)).item()
 
-        assert max_rel_err(x.grad, fd_gradient(loss, x.data)) <= 1e-6
+        assert max_rel_err(grad, fd_gradient(loss, x)) <= 1e-6
 
     def test_empty_row_rejected(self):
         with pytest.raises(ShapeError):
-            tc.softmax_rows(tc.constant(np.zeros((3, 0))))
+            tc.cross_entropy(constant(np.zeros((3, 0))), np.zeros(3, int), np.ones(3))
 
     def test_row_sums_one_for_extreme_inputs(self):
         for seed in range(25):
             rng = np.random.default_rng(seed)
             x = rng.standard_normal((4, 7)) * rng.choice([1.0, 50.0, 500.0])
-            s = tc.softmax_rows(tc.constant(x)).data.sum(axis=-1)
-            np.testing.assert_allclose(s, 1.0, atol=1e-9)
+            probs, _ = softmax_and_grad(x, rng.integers(7, size=4))
+            np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-9)
 
 
 class TestConcat:
     def test_vectors(self):
-        out = tc.concat(tc.constant([1.0, 2.0]), tc.constant([3.0]), axis=0)
+        out = tc.concat(constant([1.0, 2.0]), constant([3.0]), axis=0)
         np.testing.assert_array_equal(out.data, [1.0, 2.0, 3.0])
 
     def test_feature_axis_shape(self):
-        out = tc.concat(tc.constant(np.zeros((82, 128))),
-                        tc.constant(np.ones((82, 128))), axis=1)
+        out = tc.concat(constant(np.zeros((82, 128))),
+                        constant(np.ones((82, 128))), axis=1)
         assert out.shape == (82, 256)
 
     def test_backward_splits(self):
@@ -144,8 +158,8 @@ class TestConcat:
 
     def test_incompatible_extents(self):
         with pytest.raises(ShapeError):
-            tc.concat(tc.constant(np.zeros((2, 3))),
-                      tc.constant(np.zeros((3, 3))), axis=1)
+            tc.concat(constant(np.zeros((2, 3))),
+                      constant(np.zeros((3, 3))), axis=1)
 
     def test_concat_then_split_is_identity(self):
         rng = np.random.default_rng(2)
@@ -178,14 +192,14 @@ class TestIndex:
         other = parameter(rng.standard_normal((4, 3)))
         w_full = rng.standard_normal((4, 3))
         w_part = rng.standard_normal((2, 3))
-        y = mul(x, tc.constant(np.full((4, 3), 2.0)))
-        z = mul(other, tc.constant(np.full((4, 3), 3.0)))
+        y = mul(x, constant(np.full((4, 3), 2.0)))
+        z = mul(other, constant(np.full((4, 3), 3.0)))
 
         def part():
-            return tensor_sum(mul(y[1:3], tc.constant(w_part)))
+            return tensor_sum(mul(y[1:3], constant(w_part)))
 
         def full():
-            return tensor_sum(mul(add(y, z), tc.constant(w_full)))
+            return tensor_sum(mul(add(y, z), constant(w_full)))
 
         first, second = (part(), full()) if slice_first else (full(), part())
         add(first, second).backward()
@@ -197,7 +211,7 @@ class TestIndex:
     def test_leaf_parameter_gets_parts(self):
         x = parameter(np.zeros((3, 4)))
         w = np.arange(3.0)
-        loss = add(tensor_sum(mul(x[:, 1], tc.constant(w))),
+        loss = add(tensor_sum(mul(x[:, 1], constant(w))),
                    tensor_sum(x[0, 0:2]))
         loss.backward()
         expected = np.zeros((3, 4))
@@ -208,11 +222,11 @@ class TestIndex:
         np.testing.assert_array_equal(x.grad, 2.0 * expected)
 
     def test_value_is_the_numpy_view(self):
-        x = tc.constant(np.arange(24.0).reshape(2, 3, 4))
+        x = constant(np.arange(24.0).reshape(2, 3, 4))
         np.testing.assert_array_equal(x[:, 2].data, x.data[:, 2])
 
     def test_bad_keys_name_the_shape(self):
-        x = tc.constant(np.zeros((4, 3)))
+        x = constant(np.zeros((4, 3)))
         with pytest.raises(ShapeError, match="integers and slices"):
             x[[0, 1]]
         with pytest.raises(ShapeError, match=r"\(4, 3\)"):
@@ -222,34 +236,17 @@ class TestIndex:
 
     def test_length_reads_the_time_and_batch_extents(self):
         # bench/tracing.py sizes each BLSTM call as 2 * len(x) * x[0].shape[0]
-        x = tc.constant(np.zeros((5, 3, 2)))
+        x = constant(np.zeros((5, 3, 2)))
         assert len(x) * x[0].shape[0] == 5 * 3
         with pytest.raises(TypeError):
-            len(tc.constant(1.0))
+            len(constant(1.0))
         with pytest.raises(TypeError, match="not iterable"):
             list(x)
 
 
 class TestTransposeRepeat:
-    """The two sequence-layout ops: axis permutation and repetition."""
-
-    def test_transpose_matches_numpy_and_finite_differences(self):
-        rng = np.random.default_rng(19)
-        x = parameter(rng.standard_normal((2, 3, 4)))
-        w = tc.constant(rng.standard_normal((4, 2, 3)))
-        np.testing.assert_array_equal(tc.transpose(x, (2, 0, 1)).data,
-                                      np.transpose(x.data, (2, 0, 1)))
-
-        def build():
-            return tensor_sum(mul(tc.transpose(x, (2, 0, 1)), w))
-
-        build().backward()
-        assert max_rel_err(x.grad, fd_gradient(lambda: build().item(),
-                                               x.data)) <= 1e-6
-
-    def test_transpose_needs_a_permutation(self):
-        with pytest.raises(ShapeError, match=r"\(0, 0\).*\(2, 3\)"):
-            tc.transpose(tc.constant(np.zeros((2, 3))), (0, 0))
+    """The sequence-layout op ``repeat``; sequences stay time-major, so no op
+    permutes their axes."""
 
     @pytest.mark.parametrize("axis", [0, 1, 2, -1])
     def test_repeat_copies_and_sums_back(self, axis):
@@ -260,7 +257,7 @@ class TestTransposeRepeat:
         for k in range(4):
             np.testing.assert_array_equal(np.take(out.data, k, axis=axis),
                                           x.data)
-        w = tc.constant(rng.standard_normal(out.shape))
+        w = constant(rng.standard_normal(out.shape))
 
         def build():
             return tensor_sum(mul(tc.repeat(x, 4, axis=axis), w))
@@ -272,7 +269,7 @@ class TestTransposeRepeat:
 
     def test_repeat_needs_a_new_axis(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\)"):
-            tc.repeat(tc.constant(np.zeros((2, 3))), 2, axis=3)
+            tc.repeat(constant(np.zeros((2, 3))), 2, axis=3)
 
 
 class TestPointwise:
@@ -292,7 +289,7 @@ class TestPointwise:
         np.testing.assert_array_equal(h.data, np.zeros((3, 1)))
 
     def test_binary_shape_mismatch(self):  # of the test ops add and mul
-        a, b = tc.constant(np.zeros((2, 2))), tc.constant(np.zeros((2, 3)))
+        a, b = constant(np.zeros((2, 2))), constant(np.zeros((2, 3)))
         with pytest.raises(ShapeError):
             add(a, b)
         with pytest.raises(ShapeError):
@@ -306,8 +303,8 @@ class TestPointwise:
 
         def build():
             if op == "add":
-                return tensor_sum(mul(add(x, y), tc.constant(w)))
-            return tensor_sum(mul(mul(x, y), tc.constant(w)))
+                return tensor_sum(mul(add(x, y), constant(w)))
+            return tensor_sum(mul(mul(x, y), constant(w)))
 
         w = rng.standard_normal((4, 4))
         build().backward()
@@ -317,62 +314,62 @@ class TestPointwise:
 
 class TestCrossEntropy:
     @staticmethod
-    def _scalar_reference(p, y, mask):
+    def _scalar_reference(logits, y, mask):
         total = 0.0
-        for t in range(p.shape[0]):
-            for l in range(p.shape[1]):
-                total -= mask[t] * y[t, l] * np.log(max(p[t, l], 1e-12))
+        for t in range(logits.shape[0]):
+            top = max(logits[t])
+            norm = sum(np.exp(v - top) for v in logits[t])
+            total -= mask[t] * (logits[t, y[t]] - top - np.log(norm))
         return total
 
     def test_exact_onehot_gives_zero(self):
-        p = tc.constant(np.eye(3))
-        y = tc.constant(np.eye(3))
-        mask = tc.constant(np.ones(3))
-        assert tc.cross_entropy(p, y, mask).item() == 0.0
+        logits = constant(1000.0 * np.eye(3))
+        assert tc.cross_entropy(logits, np.arange(3), np.ones(3)).item() == 0.0
 
     def test_uniform_gives_ln4(self):
-        p = tc.constant(np.full((1, 4), 0.25))
-        y = tc.constant(np.array([[0.0, 1.0, 0.0, 0.0]]))
-        mask = tc.constant(np.ones(1))
-        assert abs(tc.cross_entropy(p, y, mask).item() - np.log(4)) < 1e-12
+        loss = tc.cross_entropy(constant(np.zeros((1, 4))), [1], np.ones(1))
+        assert abs(loss.item() - np.log(4)) < 1e-12
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(4)
-        raw = rng.random((6, 5)) + 0.01
-        p = raw / raw.sum(axis=1, keepdims=True)
-        y = np.zeros_like(p)
-        y[np.arange(6), rng.integers(5, size=6)] = 1.0
+        logits = 3.0 * rng.standard_normal((6, 5))
+        y = rng.integers(5, size=6)
         mask = (rng.random(6) > 0.3).astype(float)
-        got = tc.cross_entropy(tc.constant(p), tc.constant(y),
-                               tc.constant(mask)).item()
-        assert abs(got - self._scalar_reference(p, y, mask)) < 1e-12
+        got = tc.cross_entropy(constant(logits), y, mask).item()
+        assert abs(got - self._scalar_reference(logits, y, mask)) < 1e-12
 
-    def test_zero_probability_is_clamped(self):
-        p = tc.constant(np.array([[0.0, 1.0]]))
-        y = tc.constant(np.array([[1.0, 0.0]]))
-        loss = tc.cross_entropy(p, y, tc.constant(np.ones(1)))
-        assert np.isfinite(loss.item())
-        assert abs(loss.item() - (-np.log(1e-12))) < 1e-9
+    def test_confident_wrong_row_is_exact(self):
+        """A gold probability far below 1e-12 gets its exact loss and the
+        gradient softmax - onehot, not a clamped loss and a zero gradient;
+        a masked row adds nothing and gets no gradient."""
+        logits = parameter(np.array([[40.0, 0.0, 0.0, 0.0], [0.0, 5.0, 0.0, 0.0]]))
+        loss = tc.cross_entropy(logits, [1, 2], [1.0, 0.0])
+        exact = 40.0 + np.log1p(3.0 * np.exp(-40.0))
+        assert loss.item() == pytest.approx(exact, rel=1e-15)
+        assert loss.item() > 27.64  # -log(1e-12), where a clamp would stop it
+        loss.backward()
+        softmax = np.exp(logits.data[0] - exact - logits.data[0, 1])
+        np.testing.assert_allclose(logits.grad[0], softmax - np.eye(4)[1],
+                                   rtol=1e-15, atol=1e-30)
+        np.testing.assert_array_equal(logits.grad[1], 0.0)
 
-    def test_negative_probability_rejected(self):
-        with pytest.raises(DomainError):
-            tc.cross_entropy(tc.constant([[-0.1, 1.1]]),
-                             tc.constant([[1.0, 0.0]]),
-                             tc.constant(np.ones(1)))
+    def test_bad_labels_and_masks_rejected(self):
+        logits = constant(np.zeros((2, 3)))
+        for y, mask in (([0, 3], [1, 1]), ([-1, 0], [1, 1]), ([0.0, 1.0], [1, 1]),
+                        ([0], [1]), ([0, 1], [1, 1, 1])):
+            with pytest.raises(ShapeError, match=r"\(2, 3\)"):
+                tc.cross_entropy(logits, np.array(y), np.array(mask))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
-        raw = rng.random((4, 3)) + 0.1
-        p = parameter(raw / raw.sum(axis=1, keepdims=True))
-        y = np.zeros((4, 3))
-        y[np.arange(4), rng.integers(3, size=4)] = 1.0
-        yt, mt = tc.constant(y), tc.constant(np.ones(4))
-        tc.cross_entropy(p, yt, mt).backward()
+        logits = parameter(rng.standard_normal((4, 3)))
+        y, mask = rng.integers(3, size=4), np.array([1.0, 0.0, 1.0, 1.0])
+        tc.cross_entropy(logits, y, mask).backward()
 
         def loss():
-            return tc.cross_entropy(p, yt, mt).item()
+            return tc.cross_entropy(logits, y, mask).item()
 
-        assert max_rel_err(p.grad, fd_gradient(loss, p.data)) <= 1e-6
+        assert max_rel_err(logits.grad, fd_gradient(loss, logits.data)) <= 1e-6
 
 
 class TestBackward:
@@ -406,8 +403,8 @@ class TestBackward:
             b = parameter(rng.standard_normal((1, 5, 20)))
             z = tc.reshape(bmm(a, b), (1, 5, 20))
             h = gate_step(tc.concat(z, mul(z, z), axis=0))
-            out = tc.softmax_rows(tc.concat(h, mul(h, h), axis=1))
-            tensor_sum(out).backward()
+            logits = tc.concat(h, mul(h, h), axis=1)
+            tc.cross_entropy(logits, np.arange(10), np.ones(10)).backward()
             return a.grad.copy(), b.grad.copy()
 
         ga1, gb1 = run()
@@ -432,7 +429,7 @@ class TestFusedOps:
             mask = GAPPY_MASK[:t_len] if masked else None
             x = parameter(x)
             fw, bw = (tuple(map(parameter, w)) for w in (fw, bw))
-            v = tc.constant(rng.standard_normal((3 * t_len * 2, 2)))
+            v = constant(rng.standard_normal((3 * t_len * 2, 2)))
 
             def build():
                 return tensor_sum(mul(tc.lstm_cell(x, fw, bw, idx, mask), v))
@@ -446,7 +443,7 @@ class TestFusedOps:
 
     def test_lstm_cell_pad_steps_keep_the_state(self):
         x, fw, bw = lstm_inputs(np.random.default_rng(11), 6)
-        args = (tc.constant(x), *(tuple(map(tc.constant, w)) for w in (fw, bw)))
+        args = (constant(x), *(tuple(map(constant, w)) for w in (fw, bw)))
         out = tc.lstm_cell(*args, mask=GAPPY_MASK).data.reshape(6, 3, 2, 2)
         np.testing.assert_array_equal(out[:, 2], 0.0)  # the all-PAD row
         np.testing.assert_array_equal(out[0, :, 0], 0.0)  # before any real step
@@ -469,7 +466,7 @@ class TestFusedOps:
         # through the forget gate and the output gate each get a gradient
         rng = np.random.default_rng(9)
         z = parameter(rng.standard_normal((3, 3, 8)))
-        w = tc.constant(rng.standard_normal((9, 2)))
+        w = constant(rng.standard_normal((9, 2)))
 
         def build():
             return tensor_sum(mul(gate_step(z), w))
@@ -482,19 +479,19 @@ class TestFusedOps:
                                                z.data)) <= 1e-5
 
     def test_lstm_cell_shape_error_names_the_shapes(self):
-        x = tc.constant(np.zeros((1, 3, 4)))
-        wx, b = tc.constant(np.zeros((8, 4))), tc.constant(np.zeros(8))
-        wh = tc.constant(np.zeros((8, 2)))
+        x = constant(np.zeros((1, 3, 4)))
+        wx, b = constant(np.zeros((8, 4))), constant(np.zeros(8))
+        wh = constant(np.zeros((8, 2)))
         fw = (wx, wh, b)
         with pytest.raises(ShapeError, match=r"x \(1, 3, 4\).*Wh \(8, 3\)"):
-            tc.lstm_cell(x, fw, (wx, tc.constant(np.zeros((8, 3))), b))
+            tc.lstm_cell(x, fw, (wx, constant(np.zeros((8, 3))), b))
         with pytest.raises(ShapeError, match=r"x \(3, 4\), idx None; fw Wx \(8, 4\)"):
-            tc.lstm_cell(tc.constant(np.zeros((3, 4))), fw, fw)
+            tc.lstm_cell(constant(np.zeros((3, 4))), fw, fw)
         with pytest.raises(ShapeError, match=r"x \(0, 3, 4\), idx None; fw Wx \(8, 4\)"):
-            tc.lstm_cell(tc.constant(np.zeros((0, 3, 4))), fw, fw)
+            tc.lstm_cell(constant(np.zeros((0, 3, 4))), fw, fw)
         with pytest.raises(ShapeError, match=r"b \(4,\)"):
-            tc.lstm_cell(x, (wx, wh, tc.constant(np.zeros(4))), fw)
-        rows = tc.constant(np.zeros((3, 4)))
+            tc.lstm_cell(x, (wx, wh, constant(np.zeros(4))), fw)
+        rows = constant(np.zeros((3, 4)))
         for idx in ([[0, 3]], [[-1, 0]], [[0.0, 1.0]], [0, 1], np.zeros((0, 2), int)):
             with pytest.raises(ShapeError, match=r"x \(3, 4\), idx"):
                 tc.lstm_cell(rows, fw, fw, np.array(idx))
@@ -517,13 +514,13 @@ class TestFusedOps:
         rng = np.random.default_rng(seed)
         x, fw, bw = lstm_inputs(rng, t_len, batch, d_in, hdim, scale)
         mask = None if density == 1.0 else padding_mask(rng, t_len, batch, density)
-        weights = [tuple(map(tc.constant, w)) for w in (fw, bw)]
+        weights = [tuple(map(constant, w)) for w in (fw, bw)]
         if rows:
             table, idx = x[0], rng.integers(0, batch, (t_len, batch))
-            got = tc.lstm_cell(tc.constant(table), *weights, idx, mask)
+            got = tc.lstm_cell(constant(table), *weights, idx, mask)
             x = table[idx]
         else:
-            got = tc.lstm_cell(tc.constant(x), *weights, mask=mask)
+            got = tc.lstm_cell(constant(x), *weights, mask=mask)
         for half, w, reverse in zip(directions(got.data, t_len, batch),
                                     (fw, bw), (False, True)):
             np.testing.assert_allclose(
@@ -540,16 +537,16 @@ class TestFusedOps:
         np.testing.assert_array_equal(plain.data, tc.lstm_cell(*args).data)
 
     def test_attend_shape_error_names_the_shapes(self):
-        src, story = tc.constant(np.zeros((2, 3, 4))), tc.constant(np.zeros((2, 5, 4)))
-        with pytest.raises(ShapeError, match=r"src \(2, 3, 4\), story \(2, 5, 4\), "
-                                             r"masks \(2, 2\), \(2, 5\)"):
-            tc.attend(src, story, np.ones((2, 2)), np.ones((2, 5)))
-        with pytest.raises(ShapeError, match=r"story \(2, 5, 3\)"):
-            tc.attend(src, tc.constant(np.zeros((2, 5, 3))), np.ones((2, 3)),
-                      np.ones((2, 5)))
-        with pytest.raises(ShapeError, match=r"story \(1, 5, 4\)"):
-            tc.attend(src, tc.constant(np.zeros((1, 5, 4))), np.ones((2, 3)),
-                      np.ones((1, 5)))
+        src, story = constant(np.zeros((3, 2, 4))), constant(np.zeros((5, 2, 4)))
+        with pytest.raises(ShapeError, match=r"src \(3, 2, 4\), story \(5, 2, 4\), "
+                                             r"masks \(2, 2\), \(5, 2\)"):
+            tc.attend(src, story, np.ones((2, 2)), np.ones((5, 2)))
+        with pytest.raises(ShapeError, match=r"story \(5, 2, 3\)"):
+            tc.attend(src, constant(np.zeros((5, 2, 3))), np.ones((3, 2)),
+                      np.ones((5, 2)))
+        with pytest.raises(ShapeError, match=r"story \(5, 1, 4\)"):
+            tc.attend(src, constant(np.zeros((5, 1, 4))), np.ones((3, 2)),
+                      np.ones((5, 1)))
 
     def test_gather_cols_scatter_adds(self):
         table = parameter(np.arange(12, dtype=float).reshape(3, 4))
@@ -567,20 +564,23 @@ def test_every_op_gradient_over_twenty_seeds():
         rng = np.random.default_rng(seed)
         x = parameter(rng.standard_normal((1, 3, 4)))
         y = parameter(rng.standard_normal((1, 4, 12)))
-        w = tc.constant(rng.standard_normal((3, 6)))
-        w_ctx = tc.constant(rng.standard_normal((1, 3, 4)))
-        # attention with a dead source step and PAD story positions
-        src_mask, story_mask = [[1, 1, 0]], (np.arange(12) % 3 != 1)[None]
+        labels = rng.integers(3, size=6)
+        w_ctx = constant(rng.standard_normal((2, 3, 3)))
+        # a masked loss row; attention with PAD source rows, an interior PAD
+        # story position and an all-PAD story
+        mask = np.array([1.0, 1.0, 0.0, 1.0, 1.0, 1.0])
+        src_mask = [[1, 1, 0], [1, 0, 0]]
+        story_mask = [[1, 0, 1], [0, 0, 1], [1, 0, 1], [1, 0, 0]]
 
         def build():
             m = tc.reshape(bmm(x, y), (3, 12))
             swapped = tc.concat(m[:, 6:], m[:, :6], axis=1)
             h = gate_step(tc.reshape(tc.concat(m, swapped, axis=0), (2, 3, 12)))
-            seq = tc.transpose(tc.reshape(h, (2, 3, 3)), (1, 0, 2))
-            last = tc.repeat(h[3:6], 2, axis=1)
-            s = tc.softmax_rows(tc.reshape(add(seq, last), (3, 6)))
-            ctx = tc.attend(x, tc.transpose(y, (0, 2, 1)), src_mask, story_mask)
-            return add(tensor_sum(mul(s, w)), tensor_sum(mul(ctx, w_ctx)))
+            seq = tc.reshape(h, (2, 3, 3))
+            last = tc.repeat(h[3:6], 2, axis=0)
+            loss = tc.cross_entropy(tc.reshape(add(seq, last), (6, 3)), labels, mask)
+            ctx = tc.attend(seq, tc.reshape(m, (4, 3, 3)), src_mask, story_mask)
+            return add(loss, tensor_sum(mul(ctx, w_ctx)))
 
         build().backward()
         for t in (x, y):

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from danqa import tensor as tc
 from danqa.corpus import build_vocab, encode, synth_generate
 from danqa.errors import ContractError, NumericError
 from danqa.gradcheck import check_model, micro_batch
-from danqa.model import Model, ModelConfig
+from danqa.model import VARIANTS, Model, ModelConfig, predict_label_batches
 from danqa.training import Adam, TrainConfig, batch_loss, evaluate_dataset, fit
 from util import parameter
 
@@ -61,8 +62,8 @@ class TestBatchLoss:
         np.testing.assert_array_equal(table.data[:, 0], 0.0)
 
     @pytest.mark.parametrize("variant, ops", [
-        ("dan", 35), ("dan-no-ans-attn", 31), ("qa-s-blstm", 22),
-        ("qa-coattention", 30)])
+        ("dan", 28), ("dan-no-ans-attn", 26), ("qa-s-blstm", 20),
+        ("qa-coattention", 24)])
     def test_tape_size_is_pinned(self, variant, ops):
         """The tape of one training loss, dropout included, holds this many
         ops (tensors with a backward rule): one ``lstm_cell`` per BLSTM and
@@ -79,6 +80,32 @@ class TestBatchLoss:
                     seen.add(id(parent))
                     stack.append(parent)
         assert found == ops
+
+    def test_every_public_tensor_op_has_a_production_caller(self, monkeypatch):
+        """Each public function of ``danqa.tensor`` runs in a training step or
+        a predict of some variant, so an op left with no production caller
+        fails here instead of lingering."""
+        ops = {name: fn for name, fn in vars(tc).items()
+               if callable(fn) and not isinstance(fn, type) and not name.startswith("_")
+               and getattr(fn, "__module__", None) == tc.__name__}
+        reached = set()
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                reached.add(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name, fn in ops.items():
+            monkeypatch.setattr(tc, name, counted(name, fn))
+        for variant in VARIANTS:
+            cfg, vocab, examples = setup_micro(n=4, variant=variant, dropout_rate=0.1)
+            model = Model(cfg, vocab.size)
+            batch_loss(model, examples, training=True,
+                       rng=np.random.default_rng(0)).backward()
+            predict_label_batches(model, examples)
+        assert {"lstm_cell", "attend", "cross_entropy", "no_grad"} <= set(ops)
+        assert sorted(set(ops) - reached) == []
 
 
 class TestAdam:

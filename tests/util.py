@@ -5,9 +5,9 @@ the forward pass from plain arrays with textbook formulas, one example and
 one step at a time, without danqa.tensor. The reference scorer
 re-implements the evaluation definitions naively and independently of
 danqa.metrics (explicit per-example loops, repeated max extraction instead
-of a sorted sweep) so agreement is meaningful. The tape ops ``parameter``,
-``bmm``, ``add``, ``mul`` and ``tensor_sum`` and the weights reader
-``attention_weights`` are ones only tests use.
+of a sorted sweep) so agreement is meaningful. The leaf makers ``constant``
+and ``parameter``, the tape ops ``bmm``, ``add``, ``mul`` and ``tensor_sum``
+and the weights reader ``attention_weights`` are ones only tests use.
 """
 
 import numpy as np
@@ -65,17 +65,17 @@ def reference_direction(xs, wx, wh, b, reverse=False, mask=None):
 
 
 def reference_attention(src, story, mask, src_mask=None):
-    """Per-row numpy softmax of ``src_t . story`` over the real positions; a
-    row with no real position, or at a step where no row of the (B, T)
-    ``src_mask`` is real (all are if None), gets zero weights and context."""
+    """Per-row numpy softmax of ``src[b, t] . story[b]`` over the real positions
+    of the (B, S) ``mask``; a row with no real position, or one that the
+    (B, T) ``src_mask`` marks PAD (none if None), gets zero weights and
+    context."""
     batch, t_len, _ = src.shape
     context = np.zeros(src.shape)
     weights = np.zeros((batch, t_len, story.shape[1]))
     for b in range(batch):
         real = mask[b] > 0
         for t in range(t_len):
-            if not real.any() or (src_mask is not None
-                                  and not np.any(src_mask[:, t] > 0)):
+            if not real.any() or (src_mask is not None and not src_mask[b, t] > 0):
                 continue
             logits = story[b, real] @ src[b, t]
             e = np.exp(logits - logits.max())
@@ -135,6 +135,10 @@ def reference_forward(params, examples, cfg):
     return np.concatenate(rows)
 
 
+def constant(data):
+    return tc.Tensor(data)
+
+
 def parameter(data):
     return tc.Tensor(data, requires_grad=True)
 
@@ -170,12 +174,13 @@ def tensor_sum(x):
 
 
 def attention_weights(src, story, src_mask, story_mask):
-    """The (B, T, S) weights of ``layers.attend_step`` over the same arguments
-    as arrays, through the op's own masked softmax: its context is
-    ``weights @ story``."""
-    weights = tc._masked_softmax(src @ np.swapaxes(story, 1, 2), story_mask)
-    weights[:, ~np.any(np.asarray(src_mask) > 0, axis=0)] = 0.0
-    return weights
+    """The (B, T, S) weights of ``layers.attend_step`` over the same time-major
+    arguments as arrays, through the op's own masked softmax: row [t, b] of
+    its context is ``weights[b, t] @ story[:, b]``."""
+    real = ((np.asarray(src_mask) > 0).T[:, :, None]
+            & (np.asarray(story_mask) > 0).T[:, None])
+    return tc._masked_softmax(np.swapaxes(src, 0, 1) @ np.transpose(story, (1, 2, 0)),
+                              real)
 
 
 def _f1(tp, fp, fn):
