@@ -16,8 +16,9 @@ tape mutates only the buffers it allocated itself.
 Sequences are single time-major ``(T, B, d)`` tensors, or for ``lstm_cell``
 ``(U, d)`` rows and a ``(T, B)`` index into them, with ``(T, B)`` masks of
 their real steps. ``lstm_cell`` and ``attend`` compute only the leading steps
-up to the last one where some row is real: exact for any mask, and every real
-step of a mask that is a prefix of each row, as the model's are.
+up to the last one where some row is real. That is exact for any mask, and
+for masks that are a prefix of each row, as the model's are, it skips every
+all-PAD step.
 """
 
 from __future__ import annotations
