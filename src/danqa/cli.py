@@ -11,7 +11,6 @@ import argparse
 import datetime
 import json
 import logging
-import shutil
 import sys
 from pathlib import Path
 
@@ -138,8 +137,8 @@ def cmd_train(args) -> int:
     ckpt = out / f"checkpoint_ep{summary['best_epoch']:03d}_f1{best_f1:.4f}.ckpt"
     extra = {"min_count": args.min_count, "best_epoch": summary["best_epoch"],
              "best_valid_f1": best_f1}
-    save_checkpoint(ckpt, model, vocab, extra=extra)
-    shutil.copyfile(ckpt, out / "best.ckpt")
+    for path in (ckpt, out / "best.ckpt"):
+        save_checkpoint(path, model, vocab, extra=extra)
 
     history_path = out / "history.jsonl"
     with open(history_path, "w", encoding="utf-8") as fh:

@@ -1,11 +1,12 @@
 """Reusable network layers: embeddings, BLSTMs, attention, dense head.
 
-A sequence is one time-major ``(T, B, d)`` tensor with a ``(T, B)`` mask of
-its real steps. A BLSTM runs both directions as one ``tc.lstm_cell`` op over
-the whole sequence, where a PAD step is a no-op; a first-layer BLSTM reads the
-``(T, B)`` token ids instead and embeds each distinct token once. Attention is
-one ``tc.attend`` op over time-major sources and stories. The head scores
-``(T·B, d)`` rows; its softmax lives in ``tc.cross_entropy``.
+A sequence is one time-major ``(T, B, d)`` tensor, or ``(T, B)`` token ids,
+with ``(B,)`` lengths: each column's real steps come first, then its PAD. A
+BLSTM runs both directions as one ``tc.lstm_cell`` op over each column's own
+real steps; a first-layer BLSTM reads the token ids and embeds each distinct
+token once. Attention is one ``tc.attend`` op over time-major sources and
+stories. The head scores ``(T·B, d)`` rows; its softmax lives in
+``tc.cross_entropy``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as tc
-from .corpus import PAD
 from .errors import ShapeError, VocabError
 from .tensor import Tensor
 
@@ -27,8 +27,9 @@ class EmbeddingTable:
     """Trainable word embedding matrix of shape (dim, vocab_size).
 
     Column ``t`` is the vector of token index ``t``. The PAD column
-    (index 0) starts at zero. The BLSTMs never use it, as a PAD step is a
-    no-op, so it gets no gradient and stays zero.
+    (index 0) starts at zero. A BLSTM reads it only at steps past a
+    sequence's length, which feed no output, so it gets no gradient and
+    stays zero.
     """
 
     def __init__(self, weights: np.ndarray):
@@ -62,12 +63,14 @@ class EmbeddingTable:
 
 
 class MaskedSeq:
-    """A (T, B, d) sequence ``x`` and its (T, B) bool ``mask`` of real steps.
-    ``len``, ``[t]`` and ``shape`` read ``x``, as the benchmark's tracer sizes
-    BLSTM calls by them; this goes once the tracer lets ``seq`` take a mask."""
+    """A time-major sequence and its (B,) ``lengths``: column b's first
+    ``lengths[b]`` steps are real, the rest PAD, whose values must be finite.
+    ``x`` is a (T, B) token-id array or a (T, B, d) tensor. ``len``, ``[t]``
+    and ``shape`` read ``x``, as the benchmark's tracer sizes BLSTM calls by
+    them."""
 
-    def __init__(self, x: Tensor, mask):
-        self.x, self.mask, self.shape = x, mask, x.shape
+    def __init__(self, x, lengths):
+        self.x, self.lengths, self.shape = x, lengths, x.shape
 
     def __len__(self):
         return len(self.x)
@@ -79,11 +82,12 @@ class MaskedSeq:
 class BLSTMLayer:
     """Bidirectional LSTM; ``output_dim`` is the concatenated fwd+bwd width.
 
-    A layer given an ``embedding`` reads a (T, B) token-id array: it embeds
-    the distinct tokens once and lets ``tc.lstm_cell`` read each step's row
-    from them; its PAD tokens are PAD steps. Otherwise it reads a time-major
-    (T, B, input_dim) tensor, or a ``MaskedSeq`` of one with its real steps.
-    A PAD step leaves both directions' states as they were.
+    ``seq`` and ``pool`` take a ``MaskedSeq``. A layer given an
+    ``embedding`` reads (T, B) token ids: it embeds the distinct tokens once
+    and lets ``tc.lstm_cell`` read each step's row from them. Otherwise it
+    reads a time-major (T, B, input_dim) tensor. The forward state holds
+    after a column's last real step, and the backward state is 0 at its PAD
+    steps.
 
     ``fw`` and ``bw`` are each direction's ``(wx, wh, b)`` weights as
     ``tc.lstm_cell`` takes them: ``wx`` (4H, input_dim), ``wh`` (4H, H) and
@@ -108,24 +112,23 @@ class BLSTMLayer:
 
         self.fw, self.bw = direction(), direction()
 
-    def _run(self, x) -> Tensor:
+    def _run(self, seq: MaskedSeq) -> Tensor:
         """One ``lstm_cell`` op: (T·B·2, H) states laid out (T, B, 2, H)."""
         if self.embedding is None:
-            x, mask = (x.x, x.mask) if isinstance(x, MaskedSeq) else (x, None)
-            return tc.lstm_cell(x, self.fw, self.bw, mask=mask)
-        tokens, idx = np.unique(x, return_inverse=True)
+            return tc.lstm_cell(seq.x, self.fw, self.bw, seq.lengths)
+        tokens, idx = np.unique(seq.x, return_inverse=True)
         return tc.lstm_cell(self.embedding.lookup(tokens), self.fw, self.bw,
-                            idx.reshape(x.shape), x != PAD)
+                            seq.lengths, idx.reshape(seq.shape))
 
-    def seq(self, x) -> Tensor:
-        """The (T, B, output_dim) outputs over the sequence ``x``:
-        [fwd h_t | bwd h_t] at each step t."""
-        return tc.reshape(self._run(x), (*x.shape[:2], self.output_dim))
+    def seq(self, seq: MaskedSeq) -> Tensor:
+        """The (T, B, output_dim) outputs over ``seq``: [fwd h_t | bwd h_t]
+        at each step t."""
+        return tc.reshape(self._run(seq), (*seq.shape[:2], self.output_dim))
 
-    def pool(self, x) -> Tensor:
+    def pool(self, seq: MaskedSeq) -> Tensor:
         """(B, output_dim) sequence vectors: the forward h after the last
         real step with the backward h after the first one."""
-        states, batch = self._run(x), x.shape[1]
+        states, batch = self._run(seq), seq.shape[1]
         return tc.concat(states[-2 * batch::2], states[1:2 * batch:2], axis=1)
 
     def params(self, prefix: str) -> dict:
@@ -134,10 +137,11 @@ class BLSTMLayer:
                 for name, p in zip(("Wx", "Wh", "b"), weights)}
 
 
-def attend_step(src: Tensor, story: Tensor, src_mask, story_mask) -> Tensor:
-    """The (T, B, d) context of a (T, B, d) source over an (S, B, d) story: one
-    ``tc.attend`` op, under the name the benchmark times attention by."""
-    return tc.attend(src, story, src_mask, story_mask)
+def attend_step(src: Tensor, story: Tensor, src_len, story_len) -> Tensor:
+    """The (T, B, d) context of a (T, B, d) source over an (S, B, d) story,
+    with (B,) real lengths each: one ``tc.attend`` op, under the name the
+    benchmark times attention by."""
+    return tc.attend(src, story, src_len, story_len)
 
 
 def dense_shared(h: Tensor, w: Tensor, b: Tensor) -> Tensor:

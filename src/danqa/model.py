@@ -129,17 +129,19 @@ class Model:
         """Label logits of every question position, shape (T_q·B, L).
 
         Row ``t * B + b`` scores position ``t`` of ``examples[b]``. Every
-        sequence and mask is time-major from the token ids to the head: the
-        first BLSTMs read (T, B) ids, and from there each sequence is one
-        (T, B, d) tensor with a (T, B) mask of its real steps. The story
-        holds each example's real question tokens, then its real answer
-        tokens, then its PAD, so every mask is a prefix of its column and
-        each op computes only the steps up to the batch's last real one.
+        sequence is time-major from the token ids to the head: the first
+        BLSTMs read (T, B) ids, and from there each sequence is one (T, B, d)
+        tensor, with the (B,) lengths of its real steps, counted once from
+        the ids. An example whose ``x_q`` or ``x_a`` has a PAD before a real
+        token raises ``ContractError``. The story holds each example's real
+        question tokens, then its real answer ones, then its PAD.
 
-        A PAD step is a no-op in every BLSTM, attention gives PAD story
-        positions zero weight and PAD source steps a zero context, so the
-        rows of real question tokens depend neither on ``t_q`` and ``t_a``
-        nor on the batch peers.
+        Each BLSTM runs over each column's own real steps, and attention
+        gives PAD story positions zero weight and PAD source steps a zero
+        context, so the rows of real question tokens depend neither on
+        ``t_q`` and ``t_a`` nor on the batch peers. Those ops still read the
+        finite PAD values past a column's length: the PAD embedding, then
+        the states and contexts built on it.
         """
         cfg = self.cfg
         if not examples:
@@ -159,10 +161,14 @@ class Model:
 
         xq = np.stack([ex.x_q for ex in examples], axis=1)
         xa = np.stack([ex.x_a for ex in examples], axis=1)
-        qm, am = xq != PAD, xa != PAD
-
-        hq1 = drop(self.ctx1_q.seq(xq))
-        ha1 = drop(self.ctx1_a.seq(xa))
+        for name, ids in (("x_q", xq), ("x_a", xa)):
+            gapped = np.flatnonzero(((ids[:-1] == PAD) & (ids[1:] != PAD)).any(axis=0))
+            if gapped.size:
+                raise ContractError(f"example {examples[gapped[0]].pair.id} has a "
+                                    f"PAD before a real token in its {name}")
+        q_len, a_len = (xq != PAD).sum(axis=0), (xa != PAD).sum(axis=0)
+        hq1 = drop(self.ctx1_q.seq(layers.MaskedSeq(xq, q_len)))
+        ha1 = drop(self.ctx1_a.seq(layers.MaskedSeq(xa, a_len)))
 
         cq = ca = None
         if self.ctx1_qa is not None:
@@ -170,19 +176,20 @@ class Model:
             # each column's real question tokens, then its real answer ones, then PAD
             ids = np.take_along_axis(
                 ids, np.argsort(ids == PAD, axis=0, kind="stable"), axis=0)
-            story, story_mask = drop(self.ctx1_qa.seq(ids)), ids != PAD
-            cq = layers.attend_step(hq1, story, qm, story_mask)
+            story_len = q_len + a_len
+            story = drop(self.ctx1_qa.seq(layers.MaskedSeq(ids, story_len)))
+            cq = layers.attend_step(hq1, story, q_len, story_len)
             if cfg.variant == "dan":
-                ca = layers.attend_step(ha1, story, am, story_mask)
+                ca = layers.attend_step(ha1, story, a_len, story_len)
         elif cfg.variant == "qa-coattention":
-            cq = layers.attend_step(hq1, ha1, qm, am)
-            ca = layers.attend_step(ha1, hq1, am, qm)
+            cq = layers.attend_step(hq1, ha1, q_len, a_len)
+            ca = layers.attend_step(ha1, hq1, a_len, q_len)
 
         hq2 = hq1 if cq is None else tc.concat(hq1, cq, axis=2)
         ha2 = ha1 if ca is None else tc.concat(ha1, ca, axis=2)
 
-        hq3 = self.ctx2_q.seq(layers.MaskedSeq(hq2, qm))
-        ha3 = tc.repeat(self.ctx2_a.pool(layers.MaskedSeq(ha2, am)), cfg.t_q, axis=0)
+        hq3 = self.ctx2_q.seq(layers.MaskedSeq(hq2, q_len))
+        ha3 = tc.repeat(self.ctx2_a.pool(layers.MaskedSeq(ha2, a_len)), cfg.t_q, axis=0)
         joined = tc.concat(hq3, ha3, axis=2)
         flat = drop(tc.reshape(joined, (cfg.t_q * len(examples), 2 * cfg.blstm_dim)))
         return layers.dense_shared(flat, self.dense_w, self.dense_b)

@@ -14,11 +14,9 @@ the parent's shape. Rules may return views of their incoming gradient: the
 tape mutates only the buffers it allocated itself.
 
 Sequences are single time-major ``(T, B, d)`` tensors, or for ``lstm_cell``
-``(U, d)`` rows and a ``(T, B)`` index into them, with ``(T, B)`` masks of
-their real steps. ``lstm_cell`` and ``attend`` compute only the leading steps
-up to the last one where some row is real. That is exact for any mask, and
-for masks that are a prefix of each row, as the model's are, it skips every
-all-PAD step.
+``(U, d)`` rows and a ``(T, B)`` index into them, with ``(B,)`` lengths: each
+column's real steps come first, then its PAD. ``lstm_cell`` and ``attend``
+compute only the steps up to the longest column's.
 """
 
 from __future__ import annotations
@@ -171,10 +169,10 @@ def _masked_softmax(logits, real):
     return logits
 
 
-def _live_prefix(real) -> int:
-    """The steps up to the last one where some row of the (T, B) bool ``real``
-    is real: at least one, so an all-PAD sequence computes one no-op step."""
-    return 1 + int(max(np.flatnonzero(real.any(axis=1)), default=0))
+def _valid_lengths(lengths, t_len, batch) -> bool:
+    """Whether ``lengths`` holds (B,) integer real-step counts in [0, T]."""
+    return (lengths.shape == (batch,) and lengths.dtype.kind in "iu"
+            and bool(np.all((lengths >= 0) & (lengths <= t_len))))
 
 
 # ---------------------------------------------------------------------------
@@ -221,25 +219,29 @@ def concat(a: Tensor, b: Tensor, axis: int) -> Tensor:
     return _wrap(np.concatenate([a.data, b.data], axis=ax), (a, b), backward)
 
 
-def attend(src: Tensor, story: Tensor, src_mask, story_mask) -> Tensor:
+def attend(src: Tensor, story: Tensor, src_len, story_len) -> Tensor:
     """Dot-product attention of every source step over a story, as one op.
 
-    ``src`` is (T, B, d) and ``story`` (S, B, d), time-major, and the (T, B)
-    ``src_mask`` and (S, B) ``story_mask`` are nonzero at real steps. Row [t, b]
-    averages the story rows of b by the softmax of ``src[t, b] . story[:, b]``
-    over its real positions. A PAD source row, and a row whose story has no
-    real position, gets zero weights, so its context and gradient are 0 and no
-    row depends on its batch peers. Only the source steps and story positions
-    up to the last real one are computed, over batch-first views."""
-    src_mask, story_mask = np.asarray(src_mask) > 0, np.asarray(story_mask) > 0
+    ``src`` is (T, B, d) and ``story`` (S, B, d), time-major. Column b's first
+    ``src_len[b]`` source steps and first ``story_len[b]`` story positions are
+    real, the rest PAD. Row [t, b] averages the story rows of b by the softmax
+    of ``src[t, b] . story[:, b]`` over its real positions. A PAD source row,
+    and a row whose story has no real position, gets zero weights, so its
+    context and gradient are 0 and no row depends on its batch peers. Only the
+    source steps and story positions up to the longest column's are computed,
+    over batch-first views, so PAD values there must be finite."""
+    src_len, story_len = np.asarray(src_len), np.asarray(story_len)
     if (src.data.ndim != 3 or story.data.ndim != 3 or story.shape[1:] != src.shape[1:]
-            or src_mask.shape != src.shape[:2] or story_mask.shape != story.shape[:2]):
+            or not _valid_lengths(src_len, *src.shape[:2])
+            or not _valid_lengths(story_len, *story.shape[:2])):
         raise ShapeError(f"attend shapes incompatible: src {src.shape}, story "
-                         f"{story.shape}, masks {src_mask.shape}, {story_mask.shape}")
-    n, m = _live_prefix(src_mask), _live_prefix(story_mask)
+                         f"{story.shape}, lengths {src_len.shape} {src_len.dtype}, "
+                         f"{story_len.shape} {story_len.dtype}")
+    n, m = max(1, int(src_len.max())), max(1, int(story_len.max()))
     x, s = src.data[:n].transpose(1, 0, 2), story.data[:m].transpose(1, 0, 2)
     weights = _masked_softmax(x @ s.transpose(0, 2, 1),
-                              src_mask[:n].T[:, :, None] & story_mask[:m].T[:, None])
+                              (np.arange(n) < src_len[:, None])[:, :, None]
+                              & (np.arange(m) < story_len[:, None])[:, None])
     out = np.zeros(src.shape)
     out[:n] = (weights @ s).transpose(1, 0, 2)
 
@@ -313,22 +315,24 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _wrap(x.data @ w.data.T + b.data, (x, w, b), backward)
 
 
-def lstm_cell(x: Tensor, fw, bw, idx=None, mask=None) -> Tensor:
+def lstm_cell(x: Tensor, fw, bw, lengths, idx=None) -> Tensor:
     """Both directions of a BLSTM layer over one sequence, as one op.
 
     ``fw`` and ``bw`` are ``(wx, wh, b)`` triples, ``wx`` (4H, D), ``wh``
     (4H, H) and ``b`` (4H,), with gate blocks [input | forget | output |
     candidate]. Step (t, b) reads ``x.data[t, b]`` of a time-major (T, B, D)
     ``x`` or, given a (T, B) int array ``idx``, row ``idx[t, b]`` of (U, D)
-    rows ``x``. One time loop advances the forward direction from the first
-    step and the backward one from the last, as stacked (2, B, ·) states.
-    Returns the (T·B·2, H) states laid out (T, B, 2, H): [t, b, d] is
-    direction d's state after step t.
+    rows ``x``. Column b's first ``lengths[b]`` steps are real, the rest PAD.
+    Returns the (T·B·2, H) states laid out (T, B, 2, H): [t, b, 0] is the
+    forward state after real step t, held after the column's last one, and
+    [t, b, 1] the backward state after real step t, 0 at PAD steps.
 
-    A step that the (T, B) bool ``mask`` marks PAD (none if None) is a no-op
-    in both directions: that row's [h | c] stays as it was and takes no
-    gradient. Only the steps up to the last one where some row is real are
-    computed; after them the forward states hold and the backward ones stay 0.
+    One time loop runs both directions over each column's own real steps,
+    as stacked (2, B, ·) states: loop step s is the forward direction's
+    step s and the backward one's step ``lengths[b] - 1 - s``. Loop steps
+    up to the longest column's are computed. One past a column's length
+    reads that column's own PAD step and feeds no output, so it takes an
+    exactly zero gradient; PAD-step inputs must therefore be finite.
 
     Both directions' input projections are one GEMM over the rows of ``x``,
     not kept for backward, which runs BPTT per step and then forms ``dX``
@@ -338,6 +342,7 @@ def lstm_cell(x: Tensor, fw, bw, idx=None, mask=None) -> Tensor:
     """
     hdim, d_in = fw[1].shape[-1], x.shape[-1]
     g4 = 4 * hdim
+    lengths = np.asarray(lengths)
     if idx is None:
         ok = x.data.ndim == 3 and x.data.size > 0
     else:
@@ -345,8 +350,7 @@ def lstm_cell(x: Tensor, fw, bw, idx=None, mask=None) -> Tensor:
         ok = (x.data.ndim == 2 and x.data.size > 0 and idx.ndim == 2 and idx.size
               and idx.dtype.kind in "iu" and 0 <= idx.min() and idx.max() < len(x))
     shape = x.shape[:2] if idx is None else idx.shape
-    real = np.ones(shape, bool) if mask is None else np.asarray(mask, bool)
-    if not ok or real.shape != shape or any(
+    if not ok or not _valid_lengths(lengths, *shape) or any(
             wx.shape != (g4, d_in) or wh.shape != (g4, hdim) or b.shape != (g4,)
             for wx, wh, b in (fw, bw)):
         raise ShapeError(
@@ -354,101 +358,96 @@ def lstm_cell(x: Tensor, fw, bw, idx=None, mask=None) -> Tensor:
             f"{None if idx is None else idx.shape}; " + "; ".join(
                 f"{tag} Wx {wx.shape}, Wh {wh.shape}, b {b.shape}"
                 for tag, (wx, wh, b) in (("fw", fw), ("bw", bw)))
-            + f"; mask {None if mask is None else real.shape}")
+            + f"; lengths {lengths.shape} {lengths.dtype}")
     t_len, batch = shape
     parents = (x, *fw, *bw)
     track = _grad_enabled and any(p.requires_grad for p in parents)
     wx, wh, bias = (np.stack([f.data, b.data]) for f, b in zip(fw, bw))
     wx, bias = wx.reshape(2 * g4, d_in), bias[:, None]
-    n = _live_prefix(real)
-    real = real[:n]
-    pad = ~np.stack([real, real[::-1]], axis=1)[..., None]  # (n, 2, B, 1), step order
-    partial = pad.any(axis=(1, 2, 3)).tolist()
-    src = x.data[:n] if idx is None else x.data
-    steps = range(n) if idx is None else idx[:n]
-    hs = np.empty((n, 2, batch, hdim))  # in step order
-    if track:  # what the backward pass reads, in step order
+    n = max(1, int(lengths.max()))
+    steps, cols = np.arange(n)[:, None], np.arange(batch)
+    real = steps < lengths  # (n, B)
+    # (2, n, B): the step t·B + b each direction reads at loop step s; as the
+    # backward map is its own inverse, also the loop step that reads step t
+    flat = np.stack([np.broadcast_to(steps, real.shape),
+                     np.where(real, lengths - 1 - steps, steps)]) * batch + cols
+    rows = x.data[:n].reshape(-1, d_in) if idx is None else x.data
+    read_x = flat if idx is None else idx.reshape(-1)[flat]  # the row of x each reads
+    sel = 2 * read_x + np.arange(2)[:, None, None]  # of the (2U, 4H) projections
+    hs = np.zeros((2, n + 1, batch, hdim))  # hs[:, s + 1]: after loop step s
+    if track:  # what the backward pass reads, by loop step
         acts = np.empty((n, 2, batch, g4))
-        cells, tanhs = np.empty((2, n, 2, batch, hdim))
+        tanhs = np.empty((n, 2, batch, hdim))
+        cells = np.zeros((n + 1, 2, batch, hdim))
     else:
         act = np.empty((2, batch, g4))
-    # both directions' input projections of all rows of x, made after the kept
-    # buffers: freed, they leave no heap hole below them (peak RSS)
-    rows = src.reshape(-1, d_in)
-    p_fw, p_bw = np.moveaxis((rows @ wx.T).reshape(*src.shape[:-1], 2, g4), -2, 0)
-    h = c = np.zeros((2, batch, hdim))
+    # both directions' input projections, made after the kept buffers: freed,
+    # they leave no heap hole below them (peak RSS)
+    proj = (rows @ wx.T).reshape(-1, g4)
+    c = np.zeros((2, batch, hdim))
     wht = wh.transpose(0, 2, 1)
     for s in range(n):
-        z = np.matmul(h, wht)
-        z[0] += p_fw[steps[s]]
-        z[1] += p_bw[steps[n - 1 - s]]
+        z = np.matmul(hs[:, s], wht)
+        z += proj[sel[:, s]]
         z += bias
         act = acts[s] if track else act
         np.divide(1.0, 1.0 + np.exp(-z[..., :3 * hdim]), out=act[..., :3 * hdim])
         np.tanh(z[..., 3 * hdim:], out=act[..., 3 * hdim:])
         i, f, o = act[..., :hdim], act[..., hdim:2 * hdim], act[..., 2 * hdim:3 * hdim]
-        c_new = np.add(f * c, i * act[..., 3 * hdim:], out=cells[s] if track else None)
-        h_new = np.multiply(o, np.tanh(c_new, out=tanhs[s] if track else None),
-                            out=hs[s])
-        if partial[s]:  # a PAD row keeps its state
-            np.copyto(c_new, c, where=pad[s])
-            np.copyto(h_new, h, where=pad[s])
-        h, c = h_new, c_new
-    fw_h, bw_h = hs[:, 0], hs[::-1, 1]  # time-major
-    out = np.zeros((t_len, batch, 2, hdim))
-    out[:n, :, 0], out[:n, :, 1] = fw_h, bw_h
-    out[n:, :, 0] = fw_h[-1]
+        c = np.add(f * c, i * act[..., 3 * hdim:], out=cells[s + 1] if track else None)
+        np.multiply(o, np.tanh(c, out=tanhs[s] if track else None), out=hs[:, s + 1])
+    # the output at [t, b] reads hs[0, min(t + 1, len)] and hs[1, max(len - t, 0)]
+    t = np.arange(t_len)[:, None]
+    read = np.stack([np.minimum(t + 1, lengths), n + 1 + np.maximum(lengths - t, 0)],
+                    axis=2) * batch + cols[:, None]
+    out = hs.reshape(-1, hdim)[read.reshape(-1)]
 
     def backward(g):
         g = g.reshape(t_len, batch, 2, hdim)
-        gh_all = np.empty((n, 2, batch, hdim))  # step order
-        gh_all[:, 0], gh_all[:, 1] = g[:n, :, 0], g[n - 1::-1, :, 1]
-        gh_all[-1, 0] += g[n:, :, 0].sum(axis=0)  # the steps that hold its state
-        gz = np.empty((n, batch, 2, g4))  # time-major, as the GEMMs read
-        gzs = np.empty((2, batch, g4))
+        # by the rows of hs the outputs read; the forward state after step
+        # len - 1 is read from there on, so it gets the sum of their gradients
+        gh_all = np.zeros(hs.shape)
+        gh_all.reshape(-1, hdim)[read[:n].reshape(-1)] = g[:n].reshape(-1, hdim)
+        gh_all[0, lengths, cols] = g[n:, :, 0].sum(axis=0) + np.where(
+            (steps >= lengths - 1)[..., None], g[:n, :, 0], 0.0).sum(axis=0)
+        gz = np.empty((2, n, batch, g4))  # by loop step
         gh_rec = gc_next = 0.0
         for s in range(n - 1, -1, -1):
             i, f, o, g_ = (acts[s, ..., k * hdim:(k + 1) * hdim] for k in range(4))
-            th, gh = tanhs[s], gh_all[s]
+            th, gh, gzs = tanhs[s], gh_all[:, s + 1], gz[:, s]
             gh += gh_rec
             gc = gh * o * (1.0 - th * th)
             gc += gc_next
             gzs[..., :hdim] = gc * g_ * i * (1.0 - i)
-            if s == 0:  # the cell state before the first step is zero
-                gzs[..., hdim:2 * hdim] = 0.0
-            else:
-                gzs[..., hdim:2 * hdim] = gc * cells[s - 1] * f * (1.0 - f)
+            gzs[..., hdim:2 * hdim] = gc * cells[s] * f * (1.0 - f)
             gzs[..., 2 * hdim:3 * hdim] = gh * th * o * (1.0 - o)
             gzs[..., 3 * hdim:] = gc * i * (1.0 - g_ * g_)
-            gh_rec, gc_prev = np.matmul(gzs, wh), gc * f
-            if partial[s]:  # a PAD row takes no gate gradient and passes its state's on
-                np.copyto(gzs, 0.0, where=pad[s])
-                np.copyto(gh_rec, gh, where=pad[s])
-                np.copyto(gc_prev, gc_next, where=pad[s])
-            gc_next = gc_prev
-            gz[s, :, 0] = gzs[0]
-            gz[n - 1 - s, :, 1] = gzs[1]
-        gz_all = gz.reshape(n * batch, 2 * g4)
-        if idx is not None:  # sum the gate gradients of real steps per row of x
+            gh_rec, gc_next = np.matmul(gzs, wh), gc * f
+        gwh = np.matmul(gz.reshape(2, -1, g4).transpose(0, 2, 1),
+                        hs[:, :n].reshape(2, -1, hdim))
+        gb = gz.sum(axis=(1, 2))
+        steps_of = flat.reshape(2, -1)  # both directions' loop steps, by step
+        if idx is not None:  # only the real steps, sorted by the row of x they read
             pos = np.flatnonzero(real)
-            pos = pos[np.argsort(steps.reshape(-1)[pos], kind="stable")]
-            ids, rows_sorted = steps.reshape(-1)[pos], gz_all[pos]
+            pos = pos[np.argsort(idx[:n].reshape(-1)[pos], kind="stable")]
+            steps_of = steps_of[:, pos]
+        # both directions' gate gradients at those steps, side by side
+        gz_all = gz.reshape(2, -1, g4)[np.arange(2), steps_of.T].reshape(-1, 2 * g4)
+        if idx is None:  # the steps after the computed ones read no input
+            gx = np.empty(x.shape)
+            gx[n:] = 0.0
+            np.matmul(gz_all, wx, out=gx[:n].reshape(-1, d_in))
+        else:  # sum them per row of x
+            ids = idx[:n].reshape(-1)[pos]
             cuts = np.flatnonzero(np.diff(ids, prepend=-1))
-            gz_all = np.zeros((len(x), 2 * g4))
+            rows_sorted, gz_all = gz_all, np.zeros((len(x), 2 * g4))
             for lo, hi in zip(cuts, np.r_[cuts[1:], len(ids)]):
                 gz_all[ids[lo]] = rows_sorted[lo:hi].sum(axis=0)
-        gx = (gz_all @ wx).reshape(src.shape)
-        if gx.shape != x.shape:  # the steps after the computed ones read no input
-            gx, part = np.zeros(x.shape), gx
-            gx[:n] = part
+            gx = gz_all @ wx
         gwx = gz_all.T @ rows
-        # h before step t is fw_h[t - 1] (forward) or bw_h[t + 1] (backward)
-        gwh_fw = gz[1:, :, 0].reshape(-1, g4).T @ fw_h[:-1].reshape(-1, hdim)
-        gwh_bw = gz[:-1, :, 1].reshape(-1, g4).T @ bw_h[1:].reshape(-1, hdim)
-        gb = gz.sum(axis=(0, 1))
-        return (gx, gwx[:g4], gwh_fw, gb[0], gwx[g4:], gwh_bw, gb[1])
+        return (gx, gwx[:g4], gwh[0], gb[0], gwx[g4:], gwh[1], gb[1])
 
-    return _wrap(out.reshape(t_len * batch * 2, hdim), parents, backward)
+    return _wrap(out, parents, backward)
 
 
 def gather_cols(table: Tensor, idx: np.ndarray) -> Tensor:

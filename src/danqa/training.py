@@ -152,18 +152,14 @@ def fit(model: Model, train, valid, tcfg: TrainConfig):
         logger.info("epoch %d: train_loss=%.4f valid_f1=%.4f token_acc=%.4f",
                     epoch, epoch_loss, metrics["avg_f1"], metrics["token_acc"])
 
-        if metrics["avg_f1"] > best_f1:
+        # reaching the asked-for token accuracy keeps this state, and stops
+        reached = (tcfg.stop_at_token_acc is not None
+                   and metrics["token_acc"] >= tcfg.stop_at_token_acc)
+        if reached or metrics["avg_f1"] > best_f1:
             best_f1 = metrics["avg_f1"]
             best_epoch = epoch
             best_state = _snapshot(model)
-        if (tcfg.stop_at_token_acc is not None
-                and metrics["token_acc"] >= tcfg.stop_at_token_acc):
-            # the caller asked for this state specifically; keep it
-            best_f1 = metrics["avg_f1"]
-            best_epoch = epoch
-            best_state = _snapshot(model)
-            break
-        if epoch - best_epoch >= tcfg.patience:
+        if reached or epoch - best_epoch >= tcfg.patience:
             break
 
     _restore(model, best_state)

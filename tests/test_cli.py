@@ -1,11 +1,12 @@
 """CLI surface: commands, exit codes, manifests, file schemas."""
 
 import json
+import os
 from pathlib import Path
 
 import pytest
 
-from danqa import tensor as tc
+from danqa import model as model_module, tensor as tc
 from danqa.cli import PRESETS, build_parser, main
 from danqa.corpus import load_corpus
 from danqa.model import load_checkpoint
@@ -140,6 +141,57 @@ class TestTrain:
         assert err.startswith("validation error:") and field in err
         assert len(err.splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("fail_at", ["write", "rename"])
+    def test_failed_best_write_keeps_the_previous_one(self, tmp_path, monkeypatch,
+                                                      capsys, fail_at):
+        """``best.ckpt`` is written beside itself and renamed over the old
+        one, so a rerun whose write of it fails, part way through its bytes
+        or at the rename, leaves the previous file whole and no temp file."""
+        corpus = tmp_path / "c.jsonl"
+        run("synth", "--n", "20", "--task", "compat", "--seed", "5",
+            "--out", str(corpus))
+        out = tmp_path / "run"
+        assert run(*train_args(corpus, out, **{"--epochs": "1"})) == 0
+        best = out / "best.ckpt"
+        before = best.read_bytes()
+        real_open, real_replace = open, os.replace
+
+        class HalfWritten:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                raise OSError("disk full")
+
+        def failing_open(path, mode="r", *args, **kwargs):
+            fh = real_open(path, mode, *args, **kwargs)
+            return HalfWritten(fh) if Path(path).name == "best.ckpt.tmp" else fh
+
+        def failing_replace(src, dst):
+            if Path(dst).name == "best.ckpt":
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        if fail_at == "write":
+            monkeypatch.setattr(model_module, "open", failing_open, raising=False)
+        else:
+            monkeypatch.setattr(os, "replace", failing_replace)
+        capsys.readouterr()
+        assert run(*train_args(corpus, out, **{"--epochs": "1",
+                                               "--seed": "4"})) == 1
+        assert "disk full" in capsys.readouterr().err
+        monkeypatch.undo()
+        assert best.read_bytes() == before
+        load_checkpoint(best)
+        assert not list(out.glob("*.tmp"))
 
     def test_corpus_validation_before_training(self, tmp_path):
         bad = tmp_path / "bad.jsonl"

@@ -9,8 +9,8 @@ from danqa.errors import ConfigError, ShapeError, VocabError
 from danqa.layers import (BLSTMLayer, EmbeddingTable, MaskedSeq, attend_step,
                           dense_shared)
 from util import (add, attention_weights, constant, fd_gradient, max_rel_err,
-                  mul, parameter, reference_attention, reference_direction,
-                  tensor_sum)
+                  mul, parameter, real_steps, reference_attention,
+                  reference_direction, tensor_sum)
 
 
 def zeroed_layer(input_dim, output_dim, seed=0):
@@ -21,8 +21,13 @@ def zeroed_layer(input_dim, output_dim, seed=0):
 
 
 def as_seq(x):
-    """(T, d) array -> time-major (T, 1, d) sequence tensor of one row."""
-    return constant(np.asarray(x)[:, None])
+    """(T, d) array -> time-major (T, 1, d) sequence of one column, all real."""
+    return full_seq(constant(np.asarray(x)[:, None]))
+
+
+def full_seq(x):
+    """A ``MaskedSeq`` of time-major ``x`` with every step real."""
+    return MaskedSeq(x, np.full(x.shape[1], len(x)))
 
 
 def seq_matrix(layer, x):
@@ -43,14 +48,14 @@ def tensors_made(fn):
     return next(tc._seq) - start - 1
 
 
-def attention(src, story, mask=None):
-    """Attend every (T, d) ``src`` row over a (S, d) story in one
-    ``attend_step`` call, as time-major sequences of one row; (context,
-    weights) as (T, d) and (T, S) arrays, the weights read by
-    ``attention_weights``."""
+def attention(src, story, story_len=None):
+    """Attend every (T, d) ``src`` row over the first ``story_len`` (all if
+    None) rows of a (S, d) story in one ``attend_step`` call, as time-major
+    sequences of one column; (context, weights) as (T, d) and (T, S) arrays,
+    the weights read by ``attention_weights``."""
     src, story = np.asarray(src, dtype=float), np.asarray(story, dtype=float)
-    mask = np.ones(len(story)) if mask is None else np.asarray(mask)
-    args = (src[:, None], story[:, None], np.ones((len(src), 1)), mask[:, None])
+    story_len = len(story) if story_len is None else story_len
+    args = (src[:, None], story[:, None], [len(src)], [story_len])
     context = attend_step(constant(args[0]), constant(args[1]), *args[2:])
     return context.data[:, 0], attention_weights(*args)[0]
 
@@ -148,7 +153,7 @@ class TestBLSTM:
         assert tensors_made(lambda: layer.seq(x)) == 2
         assert tensors_made(lambda: layer.pool(x)) == 4
         layer = token_layer(3, 4, 6, rng)
-        ids = rng.integers(0, 6, (t_len, 2))
+        ids = MaskedSeq(rng.integers(0, 6, (t_len, 2)), np.array([t_len, 1]))
         assert tensors_made(lambda: layer.seq(ids)) == 3
         assert tensors_made(lambda: layer.pool(ids)) == 5
 
@@ -156,11 +161,11 @@ class TestBLSTM:
         layer = BLSTMLayer(3, 4, np.random.default_rng(0))
         for call in (layer.seq, layer.pool):
             with pytest.raises(ShapeError, match=r"x \(0, 1, 3\)"):
-                call(constant(np.zeros((0, 1, 3))))
+                call(full_seq(constant(np.zeros((0, 1, 3)))))
         layer = token_layer(3, 4, 5, np.random.default_rng(0))
         for call in (layer.seq, layer.pool):
             with pytest.raises(ShapeError, match=r"x \(0, 3\), idx \(0, 1\)"):
-                call(np.zeros((0, 1), dtype=np.int64))
+                call(full_seq(np.zeros((0, 1), dtype=np.int64)))
 
     @settings(max_examples=40, deadline=None)
     @given(t_len=st.integers(1, 5), batch=st.integers(1, 4),
@@ -169,17 +174,20 @@ class TestBLSTM:
     def test_token_ids_match_reference_over_embedded_rows(
             self, t_len, batch, d_e, hdim, vocab, seed):
         """A token-id layer reads each step's embedding column, whatever
-        repeats: tokens within and across steps, and all-PAD rows; a PAD
-        token is a PAD step."""
+        repeats: tokens within and across steps, and all-PAD columns; the
+        steps past a column's length are PAD."""
         rng = np.random.default_rng(seed)
         layer = token_layer(d_e, 2 * hdim, vocab, rng)
-        ids = rng.integers(0, vocab, (t_len, batch))
-        ids[:, rng.random(batch) < 0.3] = 0
+        lengths = rng.integers(0, t_len + 1, batch)
+        lengths[rng.random(batch) < 0.3] = 0
+        real = real_steps(lengths, t_len)
+        ids = np.where(real, rng.integers(1, vocab, (t_len, batch)), 0)
         xs = layer.embedding.table.data[:, ids].transpose(1, 2, 0)
         want = [reference_direction(xs, *(w.data for w in d),
-                                    reverse=d is layer.bw, mask=ids != 0
+                                    reverse=d is layer.bw, mask=real
                                     ).reshape(t_len, batch, hdim)
                 for d in (layer.fw, layer.bw)]
+        ids = MaskedSeq(ids, lengths)
         seq = layer.seq(ids).data
         np.testing.assert_allclose(seq, np.concatenate(want, axis=2),
                                    rtol=0, atol=1e-12)
@@ -190,7 +198,8 @@ class TestBLSTM:
     def test_token_ids_embedding_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(13)
         layer = token_layer(3, 4, 6, rng)
-        ids = np.array([[2, 0, 2], [5, 0, 2], [2, 0, 0], [1, 0, 5]])
+        ids = MaskedSeq(np.array([[2, 0, 2], [5, 0, 2], [2, 0, 5], [1, 0, 0]]),
+                        np.array([4, 0, 3]))
         w_seq = constant(rng.standard_normal((4, 3, 4)))
         w_pool = constant(rng.standard_normal((3, 4)))
 
@@ -203,6 +212,7 @@ class TestBLSTM:
         fd = fd_gradient(lambda: build().item(), table.data)
         assert max_rel_err(table.grad, fd) <= 1e-5
         assert np.all(table.grad[:, [3, 4]] == 0.0)  # tokens never read
+        assert np.all(table.grad[:, 0] == 0.0)  # PAD, read only past the lengths
 
     def test_batched_seq_gradients_match_finite_differences(self):
         rng = np.random.default_rng(12)
@@ -212,8 +222,9 @@ class TestBLSTM:
         w_pool = constant(rng.standard_normal((2, 4)))
 
         def build():
-            return add(tensor_sum(mul(layer.seq(x), w_seq)),
-                       tensor_sum(mul(layer.pool(x), w_pool)))
+            seq = MaskedSeq(x, np.array([3, 2]))
+            return add(tensor_sum(mul(layer.seq(seq), w_seq)),
+                       tensor_sum(mul(layer.pool(seq), w_pool)))
 
         build().backward()
         for t in (x, *layer.params("x").values()):
@@ -222,17 +233,17 @@ class TestBLSTM:
 
     def test_masked_sequence_skips_its_pad_steps(self):
         """``seq``/``pool`` of a ``MaskedSeq`` are the reference with the
-        mask's PAD steps kept as no-ops; ``len``, ``[t]`` and ``shape`` read
-        the sequence, as the benchmark's tracer sizes BLSTM calls by them."""
+        steps past its lengths kept as no-ops; ``len``, ``[t]`` and ``shape``
+        read the sequence, as the benchmark's tracer sizes BLSTM calls by
+        them."""
         rng = np.random.default_rng(14)
         layer = BLSTMLayer(3, 4, rng)
-        x = rng.standard_normal((5, 2, 3))
-        mask = np.array([[1, 0], [0, 0], [1, 1], [1, 0], [0, 0]], dtype=bool)
-        masked = MaskedSeq(constant(x), mask)
-        assert (len(masked), masked[0].shape, masked.shape) == (5, (2, 3), (5, 2, 3))
-        want = [reference_direction(x, *(w.data for w in d),
-                                    reverse=d is layer.bw, mask=mask
-                                    ).reshape(5, 2, 2)
+        x = rng.standard_normal((5, 3, 3))
+        lengths = np.array([3, 0, 5])
+        masked = MaskedSeq(constant(x), lengths)
+        assert (len(masked), masked[0].shape, masked.shape) == (5, (3, 3), (5, 3, 3))
+        want = [reference_direction(x, *(w.data for w in d), reverse=d is layer.bw,
+                                    mask=real_steps(lengths, 5)).reshape(5, 3, 2)
                 for d in (layer.fw, layer.bw)]
         np.testing.assert_allclose(layer.seq(masked).data,
                                    np.concatenate(want, axis=2), rtol=0, atol=1e-12)
@@ -292,9 +303,8 @@ class TestAttention:
     def test_padding_gets_exactly_zero_weight(self):
         rng = np.random.default_rng(11)
         _, weights = attention(rng.standard_normal((2, 4)),
-                               rng.standard_normal((5, 4)),
-                               mask=[1, 1, 0, 1, 0])
-        assert np.all(weights[:, [2, 4]] == 0.0)
+                               rng.standard_normal((5, 4)), story_len=3)
+        assert np.all(weights[:, 3:] == 0.0)
         np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_batched_step_matches_single_sequence_attention(self):
@@ -303,12 +313,10 @@ class TestAttention:
         rng = np.random.default_rng(12)
         src = rng.standard_normal((2, 3, 4))
         stories = rng.standard_normal((5, 3, 4))
-        masks = np.array([[1, 1, 1, 0, 1], [1, 1, 1, 1, 1], [1, 0, 0, 0, 0]],
-                         dtype=float).T
-        src_mask = np.ones((2, 3))
-        context = attend_step(constant(src), constant(stories), src_mask,
-                              masks)
-        weights = attention_weights(src, stories, src_mask, masks)
+        story_len, src_len = np.array([4, 5, 1]), np.full(3, 2)
+        masks = real_steps(story_len, 5)
+        context = attend_step(constant(src), constant(stories), src_len, story_len)
+        weights = attention_weights(src, stories, src_len, story_len)
         for b in range(3):
             for t in range(2):
                 logits = np.where(masks[:, b] > 0, stories[:, b] @ src[t, b], -np.inf)
@@ -325,12 +333,10 @@ class TestAttention:
         rng = np.random.default_rng(seed)
         src = rng.standard_normal((t_len, batch, dim))
         story = rng.standard_normal((s_len, batch, dim))
-        mask = (rng.random((batch, s_len)) < 0.6).astype(float)
-        mask[np.arange(batch), rng.integers(s_len, size=batch)] = 1.0
-        src_mask = np.ones((t_len, batch))
-        context = attend_step(constant(src), constant(story), src_mask,
-                              mask.T)
-        weights = attention_weights(src, story, src_mask, mask.T)
+        story_len, src_len = rng.integers(1, s_len + 1, batch), np.full(batch, t_len)
+        mask = real_steps(story_len, s_len).T.astype(float)
+        context = attend_step(constant(src), constant(story), src_len, story_len)
+        weights = attention_weights(src, story, src_len, story_len)
         ref_context, ref_weights = reference_attention(
             src.swapaxes(0, 1), story.swapaxes(0, 1), mask)
         np.testing.assert_allclose(weights, ref_weights, rtol=0, atol=1e-12)
@@ -345,24 +351,26 @@ class TestAttention:
     def test_live_block_matches_reference(self, batch, t_len, s_len, dim,
                                           dead_story_row, dead_src_row,
                                           no_story, seed):
-        """With ragged masks, the op's context is the reference's on every
+        """With ragged lengths, the op's context is the reference's on every
         row, and ``attention_weights`` the weights it averages the story
         with. PAD source rows get an exactly zero context and gradient; PAD
         story positions an exactly zero gradient. The flags make one story
-        row all PAD, one source row all PAD, and every story position PAD."""
+        column all PAD, one source column all PAD, and every story position
+        PAD."""
         rng = np.random.default_rng(seed)
-        src_mask = rng.random((t_len, batch)) < 0.6
-        story_mask = rng.random((s_len, batch)) < 0.6
+        src_len = rng.integers(0, t_len + 1, batch)
+        story_len = rng.integers(0, s_len + 1, batch)
         if dead_story_row:
-            story_mask[:, rng.integers(batch)] = False
+            story_len[rng.integers(batch)] = 0
         if dead_src_row:
-            src_mask[:, rng.integers(batch)] = False
+            src_len[rng.integers(batch)] = 0
         if no_story:
-            story_mask[:] = False
+            story_len[:] = 0
+        src_mask, story_mask = real_steps(src_len, t_len), real_steps(story_len, s_len)
         src = parameter(rng.standard_normal((t_len, batch, dim)))
         story = parameter(rng.standard_normal((s_len, batch, dim)))
-        context = attend_step(src, story, src_mask, story_mask)
-        weights = attention_weights(src.data, story.data, src_mask, story_mask)
+        context = attend_step(src, story, src_len, story_len)
+        weights = attention_weights(src.data, story.data, src_len, story_len)
         ref_context, ref_weights = reference_attention(
             src.data.swapaxes(0, 1), story.data.swapaxes(0, 1), story_mask.T,
             src_mask.T)
@@ -387,18 +395,17 @@ class TestAttention:
         """Each source row's context and gradients are those of its batch
         column attended alone, whatever peers join it and in which order; a
         PAD source row gets an exactly zero context and gradient. Source
-        masks are prefixes of random length (some empty), story masks
-        random."""
+        and story lengths are random, some 0."""
         rng = np.random.default_rng(seed)
         src = rng.standard_normal((t_len, 4, dim))
         story = rng.standard_normal((s_len, 4, dim))
-        src_mask = np.arange(t_len)[:, None] < rng.integers(0, t_len + 1, 4)
-        story_mask = rng.random((s_len, 4)) < 0.6
+        src_len = rng.integers(0, t_len + 1, 4)
+        story_len = rng.integers(0, s_len + 1, 4)
         w = rng.standard_normal((t_len, 4, dim))
 
         def run(cols):
             x, s = parameter(src[:, cols]), parameter(story[:, cols])
-            context = attend_step(x, s, src_mask[:, cols], story_mask[:, cols])
+            context = attend_step(x, s, src_len[cols], story_len[cols])
             tensor_sum(mul(context, constant(w[:, cols]))).backward()
             return context.data, x.grad, s.grad
 
@@ -408,29 +415,26 @@ class TestAttention:
             for got, alone in zip(together, run([col])):
                 np.testing.assert_allclose(got[:, k], alone[:, 0], rtol=0,
                                            atol=1e-12)
-        pad = ~src_mask[:, cols]
+        pad = ~real_steps(src_len[cols], t_len)
         assert np.all(together[0][pad] == 0.0) and np.all(together[1][pad] == 0.0)
 
     def test_attention_gradients(self):
-        self.check_gradients(np.ones((2, 3)), np.ones((5, 3)))
+        self.check_gradients(np.full(3, 2), np.full(3, 5))
 
     def test_attention_gradients_with_ragged_masks(self):
-        # source step 1 PAD in every row and step 0 in row 0; story row 1 all
-        # PAD, and rows 0 and 2 with PAD positions
-        src_mask, mask = np.ones((3, 2)), np.ones((3, 5))
-        src_mask[:, 1] = src_mask[0, 0] = 0.0
-        mask[0, [1, 4]] = mask[1] = mask[2, 0] = 0.0
-        self.check_gradients(src_mask.T, mask.T)
+        # source column 0 all PAD and column 1 with a PAD step; story column
+        # 1 all PAD and column 0 with PAD positions
+        self.check_gradients(np.array([0, 1, 2]), np.array([3, 0, 5]))
 
     @staticmethod
-    def check_gradients(src_mask, mask):
+    def check_gradients(src_len, story_len):
         rng = np.random.default_rng(13)
         src = parameter(rng.standard_normal((2, 3, 4)))
         story = parameter(rng.standard_normal((5, 3, 4)))
         w = constant(rng.standard_normal((2, 3, 4)))
 
         def build():
-            return tensor_sum(mul(attend_step(src, story, src_mask, mask), w))
+            return tensor_sum(mul(attend_step(src, story, src_len, story_len), w))
 
         build().backward()
         for t in (src, story):

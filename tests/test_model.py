@@ -166,7 +166,7 @@ class TestBuild:
         _, hq1 = blstm_call(calls, "ctx1_q.seq")
         hq2, _ = blstm_call(calls, "ctx2_q.seq")
         np.testing.assert_array_equal(hq2.x.data, hq1.data)
-        np.testing.assert_array_equal(hq2.mask, examples[0].q_mask[:, None] > 0)
+        np.testing.assert_array_equal(hq2.lengths, [examples[0].q_mask.sum()])
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError):
@@ -190,11 +190,13 @@ class TestBuild:
         attends = [args for args, _ in calls["attend_step"]]
         assert [story.shape[0] for _, story, _, _ in attends] == [cfg.t_a, cfg.t_q]
         assert [src.shape[0] for src, _, _, _ in attends] == [cfg.t_q, cfg.t_a]
-        # each side's mask is the source mask of one call, the story's of the other
-        qm, am = examples[0].q_mask[:, None] > 0, examples[0].a_mask[:, None] > 0
-        for (_, _, src_mask, story_mask), (sm, tm) in zip(attends, ((qm, am), (am, qm))):
-            np.testing.assert_array_equal(src_mask, sm)
-            np.testing.assert_array_equal(story_mask, tm)
+        # each side's length is the source length of one call, the story's of
+        # the other
+        q_len, a_len = [examples[0].q_mask.sum()], [examples[0].a_mask.sum()]
+        for (_, _, src_len, story_len), (sl, tl) in zip(
+                attends, ((q_len, a_len), (a_len, q_len))):
+            np.testing.assert_array_equal(src_len, sl)
+            np.testing.assert_array_equal(story_len, tl)
 
     @pytest.mark.parametrize("variant, n_calls", [
         ("dan", 2), ("dan-no-ans-attn", 1), ("qa-coattention", 2),
@@ -228,7 +230,8 @@ class TestForward:
     def test_story_is_question_then_answer(self, monkeypatch):
         """The story BLSTM reads each example's real question token ids, then
         its real answer ones, then its PAD, time-major like those of the
-        question and answer BLSTMs; its length stays t_q + t_a."""
+        question and answer BLSTMs; its padded length stays t_q + t_a, and
+        its real length is the question's plus the answer's."""
         cfg, vocab, examples = micro_setup()
         model = Model(cfg, vocab.size)
         calls = record_layers(model, monkeypatch)
@@ -236,13 +239,15 @@ class TestForward:
         eq, _ = blstm_call(calls, "ctx1_q.seq")
         ea, _ = blstm_call(calls, "ctx1_a.seq")
         eqa, _ = blstm_call(calls, "ctx1_qa.seq")
-        np.testing.assert_array_equal(eq, np.stack([ex.x_q for ex in examples], 1))
-        np.testing.assert_array_equal(ea, np.stack([ex.x_a for ex in examples], 1))
+        np.testing.assert_array_equal(eq.x, np.stack([ex.x_q for ex in examples], 1))
+        np.testing.assert_array_equal(ea.x, np.stack([ex.x_a for ex in examples], 1))
         assert len(eqa) == cfg.t_q + cfg.t_a
         for b, ex in enumerate(examples):
             real = np.concatenate([ex.x_q[ex.q_mask > 0], ex.x_a[ex.a_mask > 0]])
-            np.testing.assert_array_equal(eqa[:len(real), b], real)
-            assert np.all(eqa[len(real):, b] == 0)
+            np.testing.assert_array_equal(eqa.x[:len(real), b], real)
+            assert np.all(eqa.x[len(real):, b] == 0)
+            assert (eq.lengths[b], ea.lengths[b], eqa.lengths[b]) == (
+                ex.q_mask.sum(), ex.a_mask.sum(), len(real))
         assert any(ex.q_mask.min() == 0 for ex in examples)  # a gap to pack
 
     def test_pad_only_answer_still_valid(self):
@@ -254,6 +259,17 @@ class TestForward:
         pq = probs_of(model, ex)
         assert np.all(np.isfinite(pq))
         np.testing.assert_allclose(pq.sum(axis=-1), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("field", ["x_q", "x_a"])
+    def test_pad_before_a_real_token_rejected(self, field):
+        """Lengths count each column's real steps from the front, so ids
+        with a PAD before a real token fail early, naming the example."""
+        cfg, vocab, examples = micro_setup(n=3)
+        ids = getattr(examples[1], field)
+        ids[0] = 0
+        assert ids[1] != 0
+        with pytest.raises(ContractError, match=rf"{examples[1].pair.id}.*{field}"):
+            Model(cfg, vocab.size).forward_batch(examples)
 
     def test_length_mismatch_rejected(self):
         cfg, vocab, examples = micro_setup()

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from danqa import tensor as tc
 from danqa.errors import ContractError, ShapeError
 from util import (add, bmm, constant, fd_gradient, max_rel_err, mul, parameter,
-                  reference_direction, tensor_sum)
+                  real_steps, reference_direction, tensor_sum)
 
 
 def gate_step(z):
@@ -22,7 +22,7 @@ def gate_step(z):
     weights = (constant(np.eye(4 * hdim)),
                constant(np.zeros((4 * hdim, hdim))),
                constant(np.zeros(4 * hdim)))
-    return tc.lstm_cell(z, weights, weights)[::2]
+    return tc.lstm_cell(z, weights, weights, np.full(z.shape[1], z.shape[0]))[::2]
 
 
 def lstm_inputs(rng, t_len, batch=3, d_in=4, hdim=2, scale=1.0):
@@ -36,19 +36,18 @@ def lstm_inputs(rng, t_len, batch=3, d_in=4, hdim=2, scale=1.0):
     return scale * rng.standard_normal((t_len, batch, d_in)), weights(), weights()
 
 
-# real steps (T=6, B=3): an all-PAD prefix (t=0), interior gap (t=3) and
-# suffix (t=5), a partially real step (t=2), and an all-PAD row (b=2)
-GAPPY_MASK = np.array([[0, 0, 0], [1, 1, 0], [1, 0, 0],
-                       [0, 0, 0], [1, 1, 0], [0, 0, 0]], dtype=bool)
+# real-step counts of five columns at T=6: one real step, all real, none,
+# and a tie below T; ``np.minimum(RAGGED, T)`` at a shorter T
+RAGGED = np.array([1, 6, 0, 4, 4])
 
 
-def padding_mask(rng, t_len, batch, density):
-    """A random (T, B) real-step mask: each step real with ``density``, and
-    some whole steps and rows PAD."""
-    mask = rng.random((t_len, batch)) < density
-    mask[rng.random(t_len) < (1.0 - density) / 2] = False
-    mask[:, rng.random(batch) < 0.2] = False
-    return mask
+def ragged_lengths(rng, t_len, batch):
+    """Random (B,) real-step counts in [0, T], with some columns all PAD
+    and some all real."""
+    lengths = rng.integers(0, t_len + 1, batch)
+    lengths[rng.random(batch) < 0.2] = 0
+    lengths[rng.random(batch) < 0.2] = t_len
+    return lengths
 
 
 def directions(out, t_len, batch):
@@ -417,49 +416,95 @@ class TestFusedOps:
     def test_lstm_cell_matches_finite_differences(self):
         # a dense (T, B, D) input, and (U, D) rows read through an index
         # that repeats rows within and across steps and never reads row 4;
-        # unmasked, and with the PAD steps of GAPPY_MASK
-        for masked, t_len, rows in itertools.product((False, True), (1, 3, 6),
+        # every step real, and the steps past the RAGGED lengths PAD
+        for ragged, t_len, rows in itertools.product((False, True), (1, 3, 6),
                                                      (False, True)):
             rng = np.random.default_rng(7 + t_len)
-            x, fw, bw = lstm_inputs(rng, t_len)
+            x, fw, bw = lstm_inputs(rng, t_len, batch=5)
+            lengths = np.minimum(RAGGED, t_len) if ragged else np.full(5, t_len)
             idx = None
             if rows:
-                x, idx = rng.standard_normal((5, 4)), rng.integers(0, 4, (t_len, 3))
+                x, idx = rng.standard_normal((5, 4)), rng.integers(0, 4, (t_len, 5))
                 idx[0] = 2
-            mask = GAPPY_MASK[:t_len] if masked else None
             x = parameter(x)
             fw, bw = (tuple(map(parameter, w)) for w in (fw, bw))
-            v = constant(rng.standard_normal((3 * t_len * 2, 2)))
+            v = constant(rng.standard_normal((5 * t_len * 2, 2)))
 
             def build():
-                return tensor_sum(mul(tc.lstm_cell(x, fw, bw, idx, mask), v))
+                return tensor_sum(mul(tc.lstm_cell(x, fw, bw, lengths, idx), v))
 
             build().backward()
             for t in (x, *fw, *bw):
                 fd = fd_gradient(lambda: build().item(), t.data)
-                assert max_rel_err(t.grad, fd) <= 1e-5, (masked, t_len, rows)
-            if masked and not rows:  # a PAD step reads nothing of its input
-                assert np.all(x.grad[~mask] == 0.0)
+                assert max_rel_err(t.grad, fd) <= 1e-5, (ragged, t_len, rows)
+            if ragged and not rows:  # a PAD step reads nothing of its input
+                assert np.all(x.grad[~real_steps(lengths, t_len)] == 0.0)
 
     def test_lstm_cell_pad_steps_keep_the_state(self):
-        x, fw, bw = lstm_inputs(np.random.default_rng(11), 6)
+        """Past a column's length its forward state holds and its backward
+        state is 0, so a column with no real step has zero states; with no
+        real step at all, no input is read, on the dense and the token-id
+        path."""
+        x, fw, bw = lstm_inputs(np.random.default_rng(11), 6, batch=5)
         args = (constant(x), *(tuple(map(constant, w)) for w in (fw, bw)))
-        out = tc.lstm_cell(*args, mask=GAPPY_MASK).data.reshape(6, 3, 2, 2)
-        np.testing.assert_array_equal(out[:, 2], 0.0)  # the all-PAD row
-        np.testing.assert_array_equal(out[0, :, 0], 0.0)  # before any real step
-        np.testing.assert_array_equal(out[5, :, 1], 0.0)
-        np.testing.assert_array_equal(out[3, :, 0], out[2, :, 0])  # the gap
-        np.testing.assert_array_equal(out[3, :, 1], out[4, :, 1])
-        np.testing.assert_array_equal(out[2, 1, 0], out[1, 1, 0])  # partial step
-        np.testing.assert_array_equal(out[2, 1, 1], out[4, 1, 1])
-        # an all-PAD mask leaves every state at zero and reads no input, on
-        # the dense and the token-id path
-        for inp, idx in ((x, None), (x[0], np.zeros((6, 3), int))):
+        out = tc.lstm_cell(*args, RAGGED).data.reshape(6, 5, 2, 2)
+        for b, n in enumerate(RAGGED):
+            held = out[n - 1, b, 0] if n else np.zeros(2)
+            np.testing.assert_array_equal(out[n:, b, 0], np.tile(held, (6 - n, 1)))
+            np.testing.assert_array_equal(out[n:, b, 1], 0.0)
+        np.testing.assert_array_equal(out[:, 2], 0.0)  # the column with none
+        for inp, idx in ((x, None), (x[0], np.zeros((6, 5), int))):
             inp = parameter(inp)
-            nothing = tc.lstm_cell(inp, *args[1:], idx, np.zeros((6, 3), bool))
+            nothing = tc.lstm_cell(inp, *args[1:], np.zeros(5, int), idx)
             np.testing.assert_array_equal(nothing.data, 0.0)
             tensor_sum(nothing).backward()
             np.testing.assert_array_equal(inp.grad, 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(t_len=st.integers(1, 6), batch=st.integers(2, 4), hdim=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1), rows=st.booleans())
+    def test_lstm_cell_column_ignores_peers_and_pad_values(self, t_len, batch,
+                                                           hdim, seed, rows):
+        """Column 0's states, and every gradient of a loss on them, are
+        those of the column run alone, whatever its peers' lengths and
+        values; and they stay exactly the same when the PAD steps of any
+        column read other finite values. Dense inputs, or token ids into
+        the rows of a table."""
+        rng = np.random.default_rng(seed)
+        _, fw, bw = lstm_inputs(rng, t_len, batch, 3, hdim)
+        table = rng.standard_normal((6, 3))
+        lengths = ragged_lengths(rng, t_len, batch)
+        v = rng.standard_normal((t_len, batch, 2, hdim))
+        v[:, 1:] = 0.0  # the loss reads column 0 only
+
+        def draw():
+            """Inputs of every column: (T, B) ids or (T, B, 3) steps."""
+            if rows:
+                return rng.integers(0, 6, (t_len, batch))
+            return rng.standard_normal((t_len, batch, 3))
+
+        def run(steps, lengths):
+            """Column 0's states, its input gradient and the weights' ones."""
+            cols = steps.shape[1]
+            x = parameter(table if rows else steps)
+            weights = [tuple(map(parameter, w)) for w in (fw, bw)]
+            out = tc.lstm_cell(x, *weights, lengths, steps if rows else None)
+            tensor_sum(mul(out, constant(v[:, :cols].reshape(-1, hdim)))).backward()
+            return (out.data.reshape(t_len, cols, 2, hdim)[:, 0],
+                    x.grad if rows else x.grad[:, 0],
+                    *(p.grad for w in weights for p in w))
+
+        steps = draw()
+        together = run(steps, lengths)
+        peers, peer_lengths = draw(), ragged_lengths(rng, t_len, batch)
+        peers[:, 0], peer_lengths[0] = steps[:, 0], lengths[0]
+        pad = ~real_steps(lengths, t_len)
+        repadded = np.where(pad if rows else pad[..., None], draw(), steps)
+        for got in (run(steps[:, :1], lengths[:1]), run(peers, peer_lengths)):
+            for want, value in zip(together, got):
+                np.testing.assert_allclose(value, want, rtol=0, atol=1e-12)
+        for want, value in zip(together, run(repadded, lengths)):
+            np.testing.assert_array_equal(value, want)
 
     def test_lstm_cell_gradients(self):
         # gate pre-activations as inputs: the candidate, the cell carried
@@ -482,55 +527,57 @@ class TestFusedOps:
         x = constant(np.zeros((1, 3, 4)))
         wx, b = constant(np.zeros((8, 4))), constant(np.zeros(8))
         wh = constant(np.zeros((8, 2)))
-        fw = (wx, wh, b)
+        fw, ones = (wx, wh, b), np.ones(3, int)
         with pytest.raises(ShapeError, match=r"x \(1, 3, 4\).*Wh \(8, 3\)"):
-            tc.lstm_cell(x, fw, (wx, constant(np.zeros((8, 3))), b))
+            tc.lstm_cell(x, fw, (wx, constant(np.zeros((8, 3))), b), ones)
         with pytest.raises(ShapeError, match=r"x \(3, 4\), idx None; fw Wx \(8, 4\)"):
-            tc.lstm_cell(constant(np.zeros((3, 4))), fw, fw)
+            tc.lstm_cell(constant(np.zeros((3, 4))), fw, fw, np.ones(4, int))
         with pytest.raises(ShapeError, match=r"x \(0, 3, 4\), idx None; fw Wx \(8, 4\)"):
-            tc.lstm_cell(constant(np.zeros((0, 3, 4))), fw, fw)
+            tc.lstm_cell(constant(np.zeros((0, 3, 4))), fw, fw, np.zeros(3, int))
         with pytest.raises(ShapeError, match=r"b \(4,\)"):
-            tc.lstm_cell(x, (wx, wh, constant(np.zeros(4))), fw)
+            tc.lstm_cell(x, (wx, wh, constant(np.zeros(4))), fw, ones)
         rows = constant(np.zeros((3, 4)))
         for idx in ([[0, 3]], [[-1, 0]], [[0.0, 1.0]], [0, 1], np.zeros((0, 2), int)):
             with pytest.raises(ShapeError, match=r"x \(3, 4\), idx"):
-                tc.lstm_cell(rows, fw, fw, np.array(idx))
+                tc.lstm_cell(rows, fw, fw, np.ones(2, int), np.array(idx))
         with pytest.raises(ShapeError, match=r"x \(1, 3, 4\), idx \(1, 1\)"):
-            tc.lstm_cell(x, fw, fw, np.zeros((1, 1), int))
-        with pytest.raises(ShapeError, match=r"x \(1, 3, 4\), idx None;.*mask \(3, 1\)"):
-            tc.lstm_cell(x, fw, fw, mask=np.ones((3, 1), bool))
+            tc.lstm_cell(x, fw, fw, np.ones(1, int), np.zeros((1, 1), int))
+        for lengths in ([1, 1], [1, 2, 1], [-1, 1, 1], [1.0, 1.0, 1.0]):
+            with pytest.raises(ShapeError, match=r"x \(1, 3, 4\), idx None;.*lengths"):
+                tc.lstm_cell(x, fw, fw, np.array(lengths))
 
     @settings(max_examples=60, deadline=None)
     @given(t_len=st.integers(1, 6), batch=st.integers(1, 4),
            d_in=st.integers(1, 5), hdim=st.integers(1, 4),
            seed=st.integers(0, 2**32 - 1),
            scale=st.sampled_from([0.1, 1.0, 3.0]),
-           density=st.sampled_from([1.0, 0.7, 0.3]), rows=st.booleans())
+           ragged=st.booleans(), rows=st.booleans())
     def test_lstm_cell_matches_reference_step(self, t_len, batch, d_in, hdim,
-                                              seed, scale, density, rows):
+                                              seed, scale, ragged, rows):
         """Both halves are ``reference_direction`` forward and reversed, over
-        a dense input or rows read through an index, with random PAD steps
-        (none at density 1)."""
+        a dense input or rows read through an index, with the steps past
+        random lengths PAD (every step real if not ``ragged``)."""
         rng = np.random.default_rng(seed)
         x, fw, bw = lstm_inputs(rng, t_len, batch, d_in, hdim, scale)
-        mask = None if density == 1.0 else padding_mask(rng, t_len, batch, density)
+        lengths = (ragged_lengths(rng, t_len, batch) if ragged
+                   else np.full(batch, t_len))
         weights = [tuple(map(constant, w)) for w in (fw, bw)]
         if rows:
             table, idx = x[0], rng.integers(0, batch, (t_len, batch))
-            got = tc.lstm_cell(constant(table), *weights, idx, mask)
+            got = tc.lstm_cell(constant(table), *weights, lengths, idx)
             x = table[idx]
         else:
-            got = tc.lstm_cell(constant(x), *weights, mask=mask)
+            got = tc.lstm_cell(constant(x), *weights, lengths)
         for half, w, reverse in zip(directions(got.data, t_len, batch),
                                     (fw, bw), (False, True)):
             np.testing.assert_allclose(
-                half, reference_direction(x, *w, reverse, mask), rtol=0,
-                atol=1e-12)
+                half, reference_direction(x, *w, reverse, real_steps(lengths, t_len)),
+                rtol=0, atol=1e-12)
 
     def test_lstm_cell_records_no_buffers_without_grad(self):
         x, fw, bw = lstm_inputs(np.random.default_rng(10), 4)
         args = [parameter(x), tuple(map(parameter, fw)),
-                tuple(map(parameter, bw))]
+                tuple(map(parameter, bw)), np.array([4, 1, 3])]
         with tc.no_grad():
             plain = tc.lstm_cell(*args)
         assert plain._backward is None
@@ -538,15 +585,18 @@ class TestFusedOps:
 
     def test_attend_shape_error_names_the_shapes(self):
         src, story = constant(np.zeros((3, 2, 4))), constant(np.zeros((5, 2, 4)))
+        both = np.ones(2, int)
         with pytest.raises(ShapeError, match=r"src \(3, 2, 4\), story \(5, 2, 4\), "
-                                             r"masks \(2, 2\), \(5, 2\)"):
-            tc.attend(src, story, np.ones((2, 2)), np.ones((5, 2)))
+                                             r"lengths \(3,\) int64, \(2,\) int64"):
+            tc.attend(src, story, np.ones(3, int), both)
         with pytest.raises(ShapeError, match=r"story \(5, 2, 3\)"):
-            tc.attend(src, constant(np.zeros((5, 2, 3))), np.ones((3, 2)),
-                      np.ones((5, 2)))
+            tc.attend(src, constant(np.zeros((5, 2, 3))), both, both)
         with pytest.raises(ShapeError, match=r"story \(5, 1, 4\)"):
-            tc.attend(src, constant(np.zeros((5, 1, 4))), np.ones((3, 2)),
-                      np.ones((5, 1)))
+            tc.attend(src, constant(np.zeros((5, 1, 4))), both, np.ones(1, int))
+        for src_len, story_len in (([4, 1], both), (both, [6, 1]), ([-1, 1], both),
+                                   ([1.0, 1.0], both)):
+            with pytest.raises(ShapeError, match=r"story \(5, 2, 4\), lengths"):
+                tc.attend(src, story, np.array(src_len), np.array(story_len))
 
     def test_gather_cols_scatter_adds(self):
         table = parameter(np.arange(12, dtype=float).reshape(3, 4))
@@ -566,11 +616,10 @@ def test_every_op_gradient_over_twenty_seeds():
         y = parameter(rng.standard_normal((1, 4, 12)))
         labels = rng.integers(3, size=6)
         w_ctx = constant(rng.standard_normal((2, 3, 3)))
-        # a masked loss row; attention with PAD source rows, an interior PAD
-        # story position and an all-PAD story
+        # a masked loss row; attention with PAD source rows, an all-PAD
+        # source and an all-PAD story, and a story with no PAD
         mask = np.array([1.0, 1.0, 0.0, 1.0, 1.0, 1.0])
-        src_mask = [[1, 1, 0], [1, 0, 0]]
-        story_mask = [[1, 0, 1], [0, 0, 1], [1, 0, 1], [1, 0, 0]]
+        src_len, story_len = np.array([2, 1, 0]), np.array([4, 0, 3])
 
         def build():
             m = tc.reshape(bmm(x, y), (3, 12))
@@ -579,7 +628,7 @@ def test_every_op_gradient_over_twenty_seeds():
             seq = tc.reshape(h, (2, 3, 3))
             last = tc.repeat(h[3:6], 2, axis=0)
             loss = tc.cross_entropy(tc.reshape(add(seq, last), (6, 3)), labels, mask)
-            ctx = tc.attend(seq, tc.reshape(m, (4, 3, 3)), src_mask, story_mask)
+            ctx = tc.attend(seq, tc.reshape(m, (4, 3, 3)), src_len, story_len)
             return add(loss, tensor_sum(mul(ctx, w_ctx)))
 
         build().backward()

@@ -6,8 +6,9 @@ one step at a time, without danqa.tensor. The reference scorer
 re-implements the evaluation definitions naively and independently of
 danqa.metrics (explicit per-example loops, repeated max extraction instead
 of a sorted sweep) so agreement is meaningful. The leaf makers ``constant``
-and ``parameter``, the tape ops ``bmm``, ``add``, ``mul`` and ``tensor_sum``
-and the weights reader ``attention_weights`` are ones only tests use.
+and ``parameter``, the tape ops ``bmm``, ``add``, ``mul`` and ``tensor_sum``,
+the weights reader ``attention_weights`` and ``real_steps``, which turns
+lengths into the masks the oracles take, are ones only tests use.
 """
 
 import numpy as np
@@ -173,14 +174,20 @@ def tensor_sum(x):
                     lambda g: (np.full(x.data.shape, float(g.reshape(()))),))
 
 
-def attention_weights(src, story, src_mask, story_mask):
+def attention_weights(src, story, src_len, story_len):
     """The (B, T, S) weights of ``layers.attend_step`` over the same time-major
     arguments as arrays, through the op's own masked softmax: row [t, b] of
     its context is ``weights[b, t] @ story[:, b]``."""
-    real = ((np.asarray(src_mask) > 0).T[:, :, None]
-            & (np.asarray(story_mask) > 0).T[:, None])
+    src_len, story_len = np.asarray(src_len), np.asarray(story_len)
+    real = ((np.arange(len(src)) < src_len[:, None])[:, :, None]
+            & (np.arange(len(story)) < story_len[:, None])[:, None])
     return tc._masked_softmax(np.swapaxes(src, 0, 1) @ np.transpose(story, (1, 2, 0)),
                               real)
+
+
+def real_steps(lengths, t_len):
+    """The (T, B) bool mask of the steps that (B,) ``lengths`` make real."""
+    return np.arange(t_len)[:, None] < np.asarray(lengths)
 
 
 def _f1(tp, fp, fn):
