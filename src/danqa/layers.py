@@ -3,8 +3,9 @@
 A sequence is one time-major ``(T, B, d)`` tensor, or ``(T, B)`` token ids,
 with ``(B,)`` lengths: each column's real steps come first, then its PAD. A
 BLSTM runs both directions as one ``tc.lstm_cell`` op over each column's own
-real steps; a first-layer BLSTM reads the token ids and embeds each distinct
-token once. Attention is one ``tc.attend`` op over time-major sources and
+real steps, with each kind of weight one (2, ·) tensor, forward direction
+first; a first-layer BLSTM reads the token ids and embeds each distinct token
+once. Attention is one ``tc.attend`` op over time-major sources and
 stories. The head scores ``(T·B, d)`` rows; its softmax lives in
 ``tc.cross_entropy``.
 """
@@ -43,10 +44,6 @@ class EmbeddingTable:
         w = glorot(rng, dim, vocab_size)
         w[:, 0] = 0.0
         return cls(w)
-
-    @property
-    def dim(self) -> int:
-        return self.table.shape[0]
 
     @property
     def vocab_size(self) -> int:
@@ -89,10 +86,11 @@ class BLSTMLayer:
     after a column's last real step, and the backward state is 0 at its PAD
     steps.
 
-    ``fw`` and ``bw`` are each direction's ``(wx, wh, b)`` weights as
-    ``tc.lstm_cell`` takes them: ``wx`` (4H, input_dim), ``wh`` (4H, H) and
-    ``b`` (4H,), gate blocks [input | forget | output | candidate], with the
-    forget bias starting at 1.
+    ``wx`` (2, 4H, input_dim), ``wh`` (2, 4H, H) and ``b`` (2, 4H) are the
+    weights as ``tc.lstm_cell`` takes them: the forward direction's at [0],
+    the backward one's at [1], gate blocks [input | forget | output |
+    candidate], with the forget bias starting at 1. ``params`` names each
+    direction's slice, as a view of the same data and gradient.
     """
 
     def __init__(self, input_dim: int, output_dim: int, rng,
@@ -103,21 +101,20 @@ class BLSTMLayer:
         self.output_dim = output_dim
         self.embedding = embedding
         hdim = output_dim // 2
-
-        def direction():
-            bias = np.zeros(4 * hdim)
-            bias[hdim:2 * hdim] = 1.0
-            return tuple(Tensor(w, requires_grad=True) for w in (
-                glorot(rng, 4 * hdim, input_dim), glorot(rng, 4 * hdim, hdim), bias))
-
-        self.fw, self.bw = direction(), direction()
+        # the rng draws fw Wx, fw Wh, then bw Wx, bw Wh
+        wx, wh = zip(*[(glorot(rng, 4 * hdim, input_dim), glorot(rng, 4 * hdim, hdim))
+                       for _ in range(2)])
+        bias = np.zeros((2, 4 * hdim))
+        bias[:, hdim:2 * hdim] = 1.0
+        self.wx, self.wh, self.b = (Tensor(w, requires_grad=True)
+                                    for w in (np.stack(wx), np.stack(wh), bias))
 
     def _run(self, seq: MaskedSeq) -> Tensor:
         """One ``lstm_cell`` op: (T·B·2, H) states laid out (T, B, 2, H)."""
         if self.embedding is None:
-            return tc.lstm_cell(seq.x, self.fw, self.bw, seq.lengths)
+            return tc.lstm_cell(seq.x, self.wx, self.wh, self.b, seq.lengths)
         tokens, idx = np.unique(seq.x, return_inverse=True)
-        return tc.lstm_cell(self.embedding.lookup(tokens), self.fw, self.bw,
+        return tc.lstm_cell(self.embedding.lookup(tokens), self.wx, self.wh, self.b,
                             seq.lengths, idx.reshape(seq.shape))
 
     def seq(self, seq: MaskedSeq) -> Tensor:
@@ -132,9 +129,9 @@ class BLSTMLayer:
         return tc.concat(states[-2 * batch::2], states[1:2 * batch:2], axis=1)
 
     def params(self, prefix: str) -> dict:
-        return {f"{prefix}.{tag}.{name}": p
-                for tag, weights in (("fw", self.fw), ("bw", self.bw))
-                for name, p in zip(("Wx", "Wh", "b"), weights)}
+        return {f"{prefix}.{tag}.{name}": w.part(k)
+                for k, tag in enumerate(("fw", "bw"))
+                for name, w in zip(("Wx", "Wh", "b"), (self.wx, self.wh, self.b))}
 
 
 def attend_step(src: Tensor, story: Tensor, src_len, story_len) -> Tensor:

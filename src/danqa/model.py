@@ -71,22 +71,15 @@ class Model:
         if vocab_size < 2:
             raise ConfigError(f"vocab_size must be >= 2, got {vocab_size}")
         self.cfg = cfg
-        self.vocab_size = vocab_size
         b = cfg.blstm_dim
         rng = np.random.default_rng(cfg.seed)
 
+        self.embedding = EmbeddingTable.random(cfg.d_e, vocab_size, rng)
         if embedding is not None:
-            weights = embedding.table.data
-            if weights.shape != (cfg.d_e, vocab_size):
-                raise ShapeError(
-                    f"embedding shape {weights.shape} does not match "
-                    f"({cfg.d_e}, {vocab_size})"
-                )
-            self.embedding = EmbeddingTable(weights.copy())
-            # keep the init stream aligned with the random-embedding path
-            layers.glorot(rng, cfg.d_e, vocab_size)
-        else:
-            self.embedding = EmbeddingTable.random(cfg.d_e, vocab_size, rng)
+            if embedding.table.shape != self.embedding.table.shape:
+                raise ShapeError(f"embedding shape {embedding.table.shape} does not "
+                                 f"match {self.embedding.table.shape}")
+            self.embedding.table.data[...] = embedding.table.data
 
         self.ctx1_q = BLSTMLayer(cfg.d_e, b, rng, self.embedding)
         self.ctx1_a = BLSTMLayer(cfg.d_e, b, rng, self.embedding)

@@ -7,7 +7,10 @@ execution order, which keeps repeated backward passes bit-identical.
 
 Gradients accumulate into leaf tensors (those without parents) that were
 created with ``requires_grad=True``; calling ``backward`` twice without
-``zero_grad`` doubles the stored gradients.
+``zero_grad`` doubles the stored gradients. ``Tensor.part(k)`` is a leaf
+whose data and gradient are views of another leaf's at ``[k]``: a BLSTM
+keeps each weight as one (2, ·) tensor, forward direction first, and names
+each direction's half through it.
 
 A backward rule returns one gradient per parent: ``None`` or an array of
 the parent's shape. Rules may return views of their incoming gradient: the
@@ -93,6 +96,12 @@ class Tensor:
         if self._grad is None:
             self._grad = np.zeros_like(self.data)
         return self._grad
+
+    def part(self, k: int) -> "Tensor":
+        """A leaf whose data and gradient are views of ``self``'s at ``[k]``."""
+        view = Tensor(self.data[k], requires_grad=self.requires_grad)
+        view._grad = self.grad[k]
+        return view
 
     def zero_grad(self):
         if self._grad is not None:
@@ -315,17 +324,19 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _wrap(x.data @ w.data.T + b.data, (x, w, b), backward)
 
 
-def lstm_cell(x: Tensor, fw, bw, lengths, idx=None) -> Tensor:
+def lstm_cell(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, lengths,
+              idx=None) -> Tensor:
     """Both directions of a BLSTM layer over one sequence, as one op.
 
-    ``fw`` and ``bw`` are ``(wx, wh, b)`` triples, ``wx`` (4H, D), ``wh``
-    (4H, H) and ``b`` (4H,), with gate blocks [input | forget | output |
-    candidate]. Step (t, b) reads ``x.data[t, b]`` of a time-major (T, B, D)
-    ``x`` or, given a (T, B) int array ``idx``, row ``idx[t, b]`` of (U, D)
-    rows ``x``. Column b's first ``lengths[b]`` steps are real, the rest PAD.
-    Returns the (T·B·2, H) states laid out (T, B, 2, H): [t, b, 0] is the
-    forward state after real step t, held after the column's last one, and
-    [t, b, 1] the backward state after real step t, 0 at PAD steps.
+    ``wx`` (2, 4H, D), ``wh`` (2, 4H, H) and ``b`` (2, 4H) hold the forward
+    direction's weights at [0] and the backward one's at [1], with gate
+    blocks [input | forget | output | candidate]. Step (t, b) reads
+    ``x.data[t, b]`` of a time-major (T, B, D) ``x`` or, given a (T, B) int
+    array ``idx``, row ``idx[t, b]`` of (U, D) rows ``x``. Column b's first
+    ``lengths[b]`` steps are real, the rest PAD. Returns the (T·B·2, H)
+    states laid out (T, B, 2, H): [t, b, 0] is the forward state after real
+    step t, held after the column's last one, and [t, b, 1] the backward
+    state after real step t, 0 at PAD steps.
 
     One time loop runs both directions over each column's own real steps,
     as stacked (2, B, ·) states: loop step s is the forward direction's
@@ -340,7 +351,7 @@ def lstm_cell(x: Tensor, fw, bw, lengths, idx=None) -> Tensor:
     first sums the real steps' gate gradients per row of ``x``. The benchmark
     counts the rows of the op by its name ``lstm_cell``.
     """
-    hdim, d_in = fw[1].shape[-1], x.shape[-1]
+    hdim, d_in = wh.shape[-1], x.shape[-1]
     g4 = 4 * hdim
     lengths = np.asarray(lengths)
     if idx is None:
@@ -350,20 +361,16 @@ def lstm_cell(x: Tensor, fw, bw, lengths, idx=None) -> Tensor:
         ok = (x.data.ndim == 2 and x.data.size > 0 and idx.ndim == 2 and idx.size
               and idx.dtype.kind in "iu" and 0 <= idx.min() and idx.max() < len(x))
     shape = x.shape[:2] if idx is None else idx.shape
-    if not ok or not _valid_lengths(lengths, *shape) or any(
-            wx.shape != (g4, d_in) or wh.shape != (g4, hdim) or b.shape != (g4,)
-            for wx, wh, b in (fw, bw)):
+    if (not ok or not _valid_lengths(lengths, *shape) or wx.shape != (2, g4, d_in)
+            or wh.shape != (2, g4, hdim) or b.shape != (2, g4)):
         raise ShapeError(
             f"lstm_cell shapes incompatible: x {x.shape}, idx "
-            f"{None if idx is None else idx.shape}; " + "; ".join(
-                f"{tag} Wx {wx.shape}, Wh {wh.shape}, b {b.shape}"
-                for tag, (wx, wh, b) in (("fw", fw), ("bw", bw)))
-            + f"; lengths {lengths.shape} {lengths.dtype}")
+            f"{None if idx is None else idx.shape}; Wx {wx.shape}, Wh {wh.shape}, "
+            f"b {b.shape}; lengths {lengths.shape} {lengths.dtype}")
     t_len, batch = shape
-    parents = (x, *fw, *bw)
+    parents = (x, wx, wh, b)
     track = _grad_enabled and any(p.requires_grad for p in parents)
-    wx, wh, bias = (np.stack([f.data, b.data]) for f, b in zip(fw, bw))
-    wx, bias = wx.reshape(2 * g4, d_in), bias[:, None]
+    wx, wh, bias = wx.data.reshape(2 * g4, d_in), wh.data, b.data[:, None]
     n = max(1, int(lengths.max()))
     steps, cols = np.arange(n)[:, None], np.arange(batch)
     real = steps < lengths  # (n, B)
@@ -445,7 +452,7 @@ def lstm_cell(x: Tensor, fw, bw, lengths, idx=None) -> Tensor:
                 gz_all[ids[lo]] = rows_sorted[lo:hi].sum(axis=0)
             gx = gz_all @ wx
         gwx = gz_all.T @ rows
-        return (gx, gwx[:g4], gwh[0], gb[0], gwx[g4:], gwh[1], gb[1])
+        return gx, gwx.reshape(2, g4, d_in), gwh, gb
 
     return _wrap(out, parents, backward)
 

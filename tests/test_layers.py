@@ -41,6 +41,11 @@ def token_layer(d_e, output_dim, vocab_size, rng):
     return BLSTMLayer(d_e, output_dim, rng, embedding=table)
 
 
+def directions(layer, k):
+    """Direction k's ``(wx, wh, b)`` arrays of a BLSTM: 0 forward, 1 backward."""
+    return (layer.wx.data[k], layer.wh.data[k], layer.b.data[k])
+
+
 def tensors_made(fn):
     """How many tensors ``fn()`` creates, read off the creation counter."""
     start = next(tc._seq)
@@ -112,7 +117,8 @@ class TestBLSTM:
         rng = np.random.default_rng(5)
         layer = BLSTMLayer(3, 8, rng)
         swapped = BLSTMLayer(3, 8, rng)
-        swapped.fw, swapped.bw = layer.bw, layer.fw
+        swapped.wx, swapped.wh, swapped.b = (
+            parameter(w.data[::-1]) for w in (layer.wx, layer.wh, layer.b))
         x = rng.standard_normal((6, 3))
         out = seq_matrix(layer, x)
         rev = seq_matrix(swapped, x[::-1])
@@ -183,10 +189,9 @@ class TestBLSTM:
         real = real_steps(lengths, t_len)
         ids = np.where(real, rng.integers(1, vocab, (t_len, batch)), 0)
         xs = layer.embedding.table.data[:, ids].transpose(1, 2, 0)
-        want = [reference_direction(xs, *(w.data for w in d),
-                                    reverse=d is layer.bw, mask=real
-                                    ).reshape(t_len, batch, hdim)
-                for d in (layer.fw, layer.bw)]
+        want = [reference_direction(xs, *directions(layer, k), reverse=k == 1,
+                                    mask=real).reshape(t_len, batch, hdim)
+                for k in (0, 1)]
         ids = MaskedSeq(ids, lengths)
         seq = layer.seq(ids).data
         np.testing.assert_allclose(seq, np.concatenate(want, axis=2),
@@ -242,9 +247,9 @@ class TestBLSTM:
         lengths = np.array([3, 0, 5])
         masked = MaskedSeq(constant(x), lengths)
         assert (len(masked), masked[0].shape, masked.shape) == (5, (3, 3), (5, 3, 3))
-        want = [reference_direction(x, *(w.data for w in d), reverse=d is layer.bw,
+        want = [reference_direction(x, *directions(layer, k), reverse=k == 1,
                                     mask=real_steps(lengths, 5)).reshape(5, 3, 2)
-                for d in (layer.fw, layer.bw)]
+                for k in (0, 1)]
         np.testing.assert_allclose(layer.seq(masked).data,
                                    np.concatenate(want, axis=2), rtol=0, atol=1e-12)
         np.testing.assert_allclose(layer.pool(masked).data,

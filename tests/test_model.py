@@ -13,14 +13,24 @@ from hypothesis import given, settings, strategies as st
 
 from danqa import layers, tensor as tc
 from danqa.corpus import build_vocab, encode, synth_generate
-from danqa.errors import ConfigError, ContractError
+from danqa.errors import ConfigError, ContractError, ShapeError
 from danqa.labels import COMPAT, SATISF
 from danqa.metrics import spans_from_labels
 from danqa.model import (CHECKPOINT_MAGIC, VARIANTS, Model, ModelConfig,
                          decode_tuples, load_checkpoint, predict_label_batches,
                          predict_labels, save_checkpoint)
-from danqa.training import batch_loss
+from danqa.training import Adam, batch_loss
 from util import fd_gradient, max_rel_err, reference_forward
+
+
+BLSTM_ATTRS = ("ctx1_q", "ctx1_a", "ctx1_qa", "ctx2_q", "ctx2_a")
+
+
+def stacked_leaf(model, name):
+    """The stacked leaf and direction index behind a ``ctx*.{fw,bw}.*`` name."""
+    attr, tag, weight = name.split(".")
+    leaf = getattr(getattr(model, attr), {"Wx": "wx", "Wh": "wh", "b": "b"}[weight])
+    return leaf, ("fw", "bw").index(tag)
 
 
 def micro_cfg(variant="dan", task="compat", seed=0, **kw):
@@ -49,7 +59,7 @@ def record_layers(model, monkeypatch):
             return out
         return wrapped
 
-    for attr in ("ctx1_q", "ctx1_a", "ctx1_qa", "ctx2_q", "ctx2_a"):
+    for attr in BLSTM_ATTRS:
         layer = getattr(model, attr)
         if layer is not None:
             layer.seq = recorder(f"{attr}.seq", layer.seq)
@@ -153,6 +163,64 @@ class TestBuild:
         assert "embedding.We" in names
         assert "dense.W" in names and "dense.b" in names
         assert len(names) == 1 + 5 * 6 + 2
+
+    def test_given_embedding_leaves_the_other_parameters_as_drawn(self):
+        """A given table only replaces the embedding's values: every other
+        parameter is bit-equal to a model's built without one, and the model
+        keeps its own copy of the table."""
+        cfg, vocab, _ = micro_setup(seed=3)
+        table = layers.EmbeddingTable(
+            np.random.default_rng(7).standard_normal((cfg.d_e, vocab.size)))
+        plain = Model(cfg, vocab.size).params()
+        given = Model(cfg, vocab.size, embedding=table).params()
+        assert list(given) == list(plain)
+        for name, p in plain.items():
+            if name != "embedding.We":
+                np.testing.assert_array_equal(given[name].data, p.data)
+        np.testing.assert_array_equal(given["embedding.We"].data, table.table.data)
+        assert not np.shares_memory(given["embedding.We"].data, table.table.data)
+        with pytest.raises(ShapeError, match=r"embedding shape \(8, 3\) does not"):
+            Model(cfg, vocab.size, embedding=layers.EmbeddingTable(np.zeros((8, 3))))
+
+    def test_named_blstm_weights_are_views_of_the_stacked_leaves(self, monkeypatch):
+        """Each ``ctx*.{fw,bw}.*`` parameter is slice 0 (fw) or 1 (bw) of its
+        layer's stacked leaf, data and gradient alike: a value written through
+        a name changes the forward pass, and ``Adam.step`` over ``params()``
+        moves the weights ``lstm_cell`` reads and zeroes their gradients."""
+        cfg, vocab, examples = micro_setup("dan")
+        model = Model(cfg, vocab.size)
+        params = model.params()
+        named = {n: p for n, p in params.items() if n.startswith("ctx")}
+        assert len(named) == 5 * 6
+        for name, p in named.items():
+            leaf, k = stacked_leaf(model, name)
+            assert p.shape == leaf.shape[1:] and leaf.shape[0] == 2
+            assert np.shares_memory(p.data, leaf.data[k])
+            assert not np.shares_memory(p.data, leaf.data[1 - k])
+            assert np.shares_memory(p.grad, leaf.grad[k])
+            assert not np.shares_memory(p.grad, leaf.grad[1 - k])
+
+        before = model.forward_batch(examples).data
+        params["ctx2_q.bw.b"].data[0] += 1.0
+        assert model.ctx2_q.b.data[1, 0] == params["ctx2_q.bw.b"].data[0]
+        assert not np.array_equal(model.forward_batch(examples).data, before)
+
+        read, lstm_cell = [], tc.lstm_cell
+
+        def recording(x, *weights_and_lengths):
+            read.extend(weights_and_lengths[:3])
+            return lstm_cell(x, *weights_and_lengths)
+
+        monkeypatch.setattr(tc, "lstm_cell", recording)
+        batch_loss(model, examples, training=False).backward()
+        assert {id(w) for w in read} == {
+            id(stacked_leaf(model, n)[0]) for n in named}
+        old = {n: p.data.copy() for n, p in named.items()}
+        Adam(params, lr=0.01).step()
+        for name, p in named.items():
+            leaf, k = stacked_leaf(model, name)
+            assert not np.array_equal(leaf.data[k], old[name]), name
+            np.testing.assert_array_equal(leaf.grad[k], 0.0)
 
     def test_sblstm_has_no_story_layer(self, monkeypatch):
         cfg, vocab, examples = micro_setup("qa-s-blstm")
@@ -538,6 +606,38 @@ class TestCheckpoint:
         got = loaded.forward_batch(examples).data
         want = model.forward_batch(examples).data
         np.testing.assert_array_equal(got, want)
+
+    def test_file_layout_is_pinned(self, tmp_path):
+        """The manifest lists every parameter by name and shape in sorted-name
+        order, and the blob after it holds each one's little-endian float64
+        bytes in that order, a BLSTM name reading its direction's slice of the
+        stacked weight."""
+        cfg, vocab, _ = micro_setup("dan")
+        model = Model(cfg, vocab.size)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, vocab)
+        blob = path.read_bytes()
+        mlen = struct.unpack("<I", blob[8:12])[0]
+        manifest = json.loads(blob[12:12 + mlen].decode())
+        n_labels = len(COMPAT.labels)
+        want = [[f"{attr}.{tag}.{weight}", shape]
+                for attr, d_in in (("ctx1_a", 8), ("ctx1_q", 8), ("ctx1_qa", 8),
+                                   ("ctx2_a", 16), ("ctx2_q", 16))
+                for tag in ("bw", "fw")
+                for weight, shape in (("Wh", [16, 4]), ("Wx", [16, d_in]), ("b", [16]))]
+        want += [["dense.W", [n_labels, 16]], ["dense.b", [n_labels]],
+                 ["embedding.We", [8, vocab.size]]]
+        assert [[d["name"], d["shape"]] for d in manifest["params"]] == want
+
+        def array(name):
+            if name.startswith("ctx"):
+                leaf, k = stacked_leaf(model, name)
+                return leaf.data[k]
+            return {"dense.W": model.dense_w, "dense.b": model.dense_b,
+                    "embedding.We": model.embedding.table}[name].data
+
+        assert blob[12 + mlen:] == b"".join(
+            array(name).astype("<f8").tobytes() for name, _ in want)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

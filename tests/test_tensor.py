@@ -19,21 +19,22 @@ def gate_step(z):
     ``reference_direction``."""
     z = z if isinstance(z, tc.Tensor) else constant(np.asarray(z, float))
     hdim = z.shape[2] // 4
-    weights = (constant(np.eye(4 * hdim)),
-               constant(np.zeros((4 * hdim, hdim))),
-               constant(np.zeros(4 * hdim)))
-    return tc.lstm_cell(z, weights, weights, np.full(z.shape[1], z.shape[0]))[::2]
+    weights = (constant(np.tile(np.eye(4 * hdim), (2, 1, 1))),
+               constant(np.zeros((2, 4 * hdim, hdim))),
+               constant(np.zeros((2, 4 * hdim))))
+    return tc.lstm_cell(z, *weights, np.full(z.shape[1], z.shape[0]))[::2]
 
 
 def lstm_inputs(rng, t_len, batch=3, d_in=4, hdim=2, scale=1.0):
-    """A random (T, B, D) input and the forward and backward weight triples
-    of an ``lstm_cell`` call, as arrays."""
+    """A random (T, B, D) input and the stacked ``(wx, wh, b)`` weights of an
+    ``lstm_cell`` call, forward direction at [0], as arrays."""
     def weights():
         return (scale * rng.standard_normal((4 * hdim, d_in)),
                 scale * rng.standard_normal((4 * hdim, hdim)),
                 scale * rng.standard_normal(4 * hdim))
 
-    return scale * rng.standard_normal((t_len, batch, d_in)), weights(), weights()
+    x, fw, bw = scale * rng.standard_normal((t_len, batch, d_in)), weights(), weights()
+    return x, tuple(map(np.stack, zip(fw, bw)))
 
 
 # real-step counts of five columns at T=6: one real step, all real, none,
@@ -420,21 +421,21 @@ class TestFusedOps:
         for ragged, t_len, rows in itertools.product((False, True), (1, 3, 6),
                                                      (False, True)):
             rng = np.random.default_rng(7 + t_len)
-            x, fw, bw = lstm_inputs(rng, t_len, batch=5)
+            x, weights = lstm_inputs(rng, t_len, batch=5)
             lengths = np.minimum(RAGGED, t_len) if ragged else np.full(5, t_len)
             idx = None
             if rows:
                 x, idx = rng.standard_normal((5, 4)), rng.integers(0, 4, (t_len, 5))
                 idx[0] = 2
             x = parameter(x)
-            fw, bw = (tuple(map(parameter, w)) for w in (fw, bw))
+            weights = tuple(map(parameter, weights))
             v = constant(rng.standard_normal((5 * t_len * 2, 2)))
 
             def build():
-                return tensor_sum(mul(tc.lstm_cell(x, fw, bw, lengths, idx), v))
+                return tensor_sum(mul(tc.lstm_cell(x, *weights, lengths, idx), v))
 
             build().backward()
-            for t in (x, *fw, *bw):
+            for t in (x, *weights):
                 fd = fd_gradient(lambda: build().item(), t.data)
                 assert max_rel_err(t.grad, fd) <= 1e-5, (ragged, t_len, rows)
             if ragged and not rows:  # a PAD step reads nothing of its input
@@ -445,8 +446,8 @@ class TestFusedOps:
         state is 0, so a column with no real step has zero states; with no
         real step at all, no input is read, on the dense and the token-id
         path."""
-        x, fw, bw = lstm_inputs(np.random.default_rng(11), 6, batch=5)
-        args = (constant(x), *(tuple(map(constant, w)) for w in (fw, bw)))
+        x, weights = lstm_inputs(np.random.default_rng(11), 6, batch=5)
+        args = (constant(x), *map(constant, weights))
         out = tc.lstm_cell(*args, RAGGED).data.reshape(6, 5, 2, 2)
         for b, n in enumerate(RAGGED):
             held = out[n - 1, b, 0] if n else np.zeros(2)
@@ -471,7 +472,7 @@ class TestFusedOps:
         column read other finite values. Dense inputs, or token ids into
         the rows of a table."""
         rng = np.random.default_rng(seed)
-        _, fw, bw = lstm_inputs(rng, t_len, batch, 3, hdim)
+        _, stacked = lstm_inputs(rng, t_len, batch, 3, hdim)
         table = rng.standard_normal((6, 3))
         lengths = ragged_lengths(rng, t_len, batch)
         v = rng.standard_normal((t_len, batch, 2, hdim))
@@ -487,12 +488,12 @@ class TestFusedOps:
             """Column 0's states, its input gradient and the weights' ones."""
             cols = steps.shape[1]
             x = parameter(table if rows else steps)
-            weights = [tuple(map(parameter, w)) for w in (fw, bw)]
+            weights = tuple(map(parameter, stacked))
             out = tc.lstm_cell(x, *weights, lengths, steps if rows else None)
             tensor_sum(mul(out, constant(v[:, :cols].reshape(-1, hdim)))).backward()
             return (out.data.reshape(t_len, cols, 2, hdim)[:, 0],
                     x.grad if rows else x.grad[:, 0],
-                    *(p.grad for w in weights for p in w))
+                    *(p.grad for p in weights))
 
         steps = draw()
         together = run(steps, lengths)
@@ -525,26 +526,29 @@ class TestFusedOps:
 
     def test_lstm_cell_shape_error_names_the_shapes(self):
         x = constant(np.zeros((1, 3, 4)))
-        wx, b = constant(np.zeros((8, 4))), constant(np.zeros(8))
-        wh = constant(np.zeros((8, 2)))
-        fw, ones = (wx, wh, b), np.ones(3, int)
-        with pytest.raises(ShapeError, match=r"x \(1, 3, 4\).*Wh \(8, 3\)"):
-            tc.lstm_cell(x, fw, (wx, constant(np.zeros((8, 3))), b), ones)
-        with pytest.raises(ShapeError, match=r"x \(3, 4\), idx None; fw Wx \(8, 4\)"):
-            tc.lstm_cell(constant(np.zeros((3, 4))), fw, fw, np.ones(4, int))
-        with pytest.raises(ShapeError, match=r"x \(0, 3, 4\), idx None; fw Wx \(8, 4\)"):
-            tc.lstm_cell(constant(np.zeros((0, 3, 4))), fw, fw, np.zeros(3, int))
-        with pytest.raises(ShapeError, match=r"b \(4,\)"):
-            tc.lstm_cell(x, (wx, wh, constant(np.zeros(4))), fw, ones)
+        wx, b = constant(np.zeros((2, 8, 4))), constant(np.zeros((2, 8)))
+        wh = constant(np.zeros((2, 8, 2)))
+        weights, ones = (wx, wh, b), np.ones(3, int)
+        with pytest.raises(ShapeError, match=r"x \(1, 3, 4\).*Wh \(2, 8, 3\)"):
+            tc.lstm_cell(x, wx, constant(np.zeros((2, 8, 3))), b, ones)
+        with pytest.raises(ShapeError, match=r"x \(3, 4\), idx None; Wx \(2, 8, 4\)"):
+            tc.lstm_cell(constant(np.zeros((3, 4))), *weights, np.ones(4, int))
+        with pytest.raises(ShapeError, match=r"x \(0, 3, 4\), idx None; Wx \(2, 8, 4"):
+            tc.lstm_cell(constant(np.zeros((0, 3, 4))), *weights, np.zeros(3, int))
+        # one direction's weights where the op takes both, stacked
+        with pytest.raises(ShapeError, match=r"b \(8,\)"):
+            tc.lstm_cell(x, wx, wh, constant(np.zeros(8)), ones)
+        with pytest.raises(ShapeError, match=r"Wx \(8, 4\)"):
+            tc.lstm_cell(x, constant(np.zeros((8, 4))), wh, b, ones)
         rows = constant(np.zeros((3, 4)))
         for idx in ([[0, 3]], [[-1, 0]], [[0.0, 1.0]], [0, 1], np.zeros((0, 2), int)):
             with pytest.raises(ShapeError, match=r"x \(3, 4\), idx"):
-                tc.lstm_cell(rows, fw, fw, np.ones(2, int), np.array(idx))
+                tc.lstm_cell(rows, *weights, np.ones(2, int), np.array(idx))
         with pytest.raises(ShapeError, match=r"x \(1, 3, 4\), idx \(1, 1\)"):
-            tc.lstm_cell(x, fw, fw, np.ones(1, int), np.zeros((1, 1), int))
+            tc.lstm_cell(x, *weights, np.ones(1, int), np.zeros((1, 1), int))
         for lengths in ([1, 1], [1, 2, 1], [-1, 1, 1], [1.0, 1.0, 1.0]):
             with pytest.raises(ShapeError, match=r"x \(1, 3, 4\), idx None;.*lengths"):
-                tc.lstm_cell(x, fw, fw, np.array(lengths))
+                tc.lstm_cell(x, *weights, np.array(lengths))
 
     @settings(max_examples=60, deadline=None)
     @given(t_len=st.integers(1, 6), batch=st.integers(1, 4),
@@ -558,26 +562,25 @@ class TestFusedOps:
         a dense input or rows read through an index, with the steps past
         random lengths PAD (every step real if not ``ragged``)."""
         rng = np.random.default_rng(seed)
-        x, fw, bw = lstm_inputs(rng, t_len, batch, d_in, hdim, scale)
+        x, stacked = lstm_inputs(rng, t_len, batch, d_in, hdim, scale)
         lengths = (ragged_lengths(rng, t_len, batch) if ragged
                    else np.full(batch, t_len))
-        weights = [tuple(map(constant, w)) for w in (fw, bw)]
+        weights = tuple(map(constant, stacked))
         if rows:
             table, idx = x[0], rng.integers(0, batch, (t_len, batch))
             got = tc.lstm_cell(constant(table), *weights, lengths, idx)
             x = table[idx]
         else:
             got = tc.lstm_cell(constant(x), *weights, lengths)
-        for half, w, reverse in zip(directions(got.data, t_len, batch),
-                                    (fw, bw), (False, True)):
+        for k, half in enumerate(directions(got.data, t_len, batch)):
             np.testing.assert_allclose(
-                half, reference_direction(x, *w, reverse, real_steps(lengths, t_len)),
+                half, reference_direction(x, *(w[k] for w in stacked), k == 1,
+                                          real_steps(lengths, t_len)),
                 rtol=0, atol=1e-12)
 
     def test_lstm_cell_records_no_buffers_without_grad(self):
-        x, fw, bw = lstm_inputs(np.random.default_rng(10), 4)
-        args = [parameter(x), tuple(map(parameter, fw)),
-                tuple(map(parameter, bw)), np.array([4, 1, 3])]
+        x, weights = lstm_inputs(np.random.default_rng(10), 4)
+        args = [parameter(x), *map(parameter, weights), np.array([4, 1, 3])]
         with tc.no_grad():
             plain = tc.lstm_cell(*args)
         assert plain._backward is None
