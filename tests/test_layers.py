@@ -156,6 +156,8 @@ class TestBLSTM:
         layer = BLSTMLayer(3, 4, rng)
         x = as_seq(rng.standard_normal((t_len, 3)))
         assert tensors_made(lambda: layer._run(x)) == 1
+        # its parents are the input and the three direction-stacked weights
+        assert layer._run(x)._parents == (x.x, layer.wx, layer.wh, layer.b)
         assert tensors_made(lambda: layer.seq(x)) == 2
         assert tensors_made(lambda: layer.pool(x)) == 4
         layer = token_layer(3, 4, 6, rng)

@@ -23,9 +23,6 @@ from danqa.training import Adam, batch_loss
 from util import fd_gradient, max_rel_err, reference_forward
 
 
-BLSTM_ATTRS = ("ctx1_q", "ctx1_a", "ctx1_qa", "ctx2_q", "ctx2_a")
-
-
 def stacked_leaf(model, name):
     """The stacked leaf and direction index behind a ``ctx*.{fw,bw}.*`` name."""
     attr, tag, weight = name.split(".")
@@ -59,7 +56,7 @@ def record_layers(model, monkeypatch):
             return out
         return wrapped
 
-    for attr in BLSTM_ATTRS:
+    for attr in ("ctx1_q", "ctx1_a", "ctx1_qa", "ctx2_q", "ctx2_a"):
         layer = getattr(model, attr)
         if layer is not None:
             layer.seq = recorder(f"{attr}.seq", layer.seq)
